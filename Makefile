@@ -10,11 +10,11 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X gosrb/internal/obs.Version=$(VERSION)"
 
-.PHONY: all check lint vet build test race test-faults test-repair test-wire test-phases test-mcat test-heat bench bench-obs bench-obs-gate bench-repair bench-grid bench-grid-gate bench-flight bench-flight-gate bench-wire bench-wire-gate bench-phases bench-phases-gate bench-mcat bench-mcat-gate bench-heat bench-heat-gate clean
+.PHONY: all check lint vet build test race e2ebench-check test-faults test-repair test-wire test-phases test-mcat test-heat bench bench-obs bench-obs-gate bench-repair bench-grid bench-grid-gate bench-flight bench-flight-gate bench-wire bench-wire-gate bench-phases bench-phases-gate bench-mcat bench-mcat-gate bench-heat bench-heat-gate clean
 
 all: check
 
-check: lint build race test-faults test-repair test-wire test-phases test-mcat test-heat bench-obs-gate bench-grid-gate bench-flight-gate bench-wire-gate bench-phases-gate bench-mcat-gate bench-heat-gate
+check: lint build race e2ebench-check test-faults test-repair test-wire test-phases test-mcat test-heat bench-obs-gate bench-grid-gate bench-flight-gate bench-wire-gate bench-phases-gate bench-mcat-gate bench-heat-gate
 
 # Static analysis: go vet always, then a pinned staticcheck. The pin
 # keeps every checkout on the same analyzer; when the binary is absent
@@ -49,6 +49,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark is its own module built against this one
+# (replace gosrb => ../): vet and self-test it so a root-module API
+# change cannot break the benchmark unnoticed.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection sweep: the resilience and faultnet suites plus the
 # chaos end-to-end, repeated under -race to prove the fixed-seed fault

@@ -164,8 +164,8 @@ func TestChaosFederatedFailover(t *testing.T) {
 
 	// The open breaker is visible on the admin endpoint.
 	metrics := scrape(t, adminAddr)
-	if !strings.Contains(metrics, "breaker.peer.srb2.state 2") {
-		t.Errorf("/metrics missing open peer breaker:\n%s", grepLines(metrics, "breaker."))
+	if !strings.Contains(metrics, "srb_breaker_peer_srb2_state 2") {
+		t.Errorf("/metrics missing open peer breaker:\n%s", grepLines(metrics, "srb_breaker_"))
 	}
 
 	// Phase 3 — heal the uplink. After the cooldown the breaker goes
@@ -181,10 +181,10 @@ func TestChaosFederatedFailover(t *testing.T) {
 	}
 }
 
-// scrape fetches the admin /metrics page (legacy dotted-name dump).
+// scrape fetches the admin /metrics page (Prometheus text exposition).
 func scrape(t *testing.T, addr string) string {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/metrics?format=text")
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func (cl *Client) dialMux(addr string) (*wire.Mux, error) {
 		nc.Close()
 		return nil, types.E("login", cl.user, types.ErrAuth)
 	}
-	return wire.NewMux(nc, c, ok.Server, ok.Mux), nil
+	return wire.NewMux(nc, c, ok.Server), nil
 }
 
 // PoolStats reports the connection pool's occupancy and lifetime dial,
@@ -325,8 +325,8 @@ func (cl *Client) callOnce(addr, op string, args any, sendData []byte, out any, 
 	res, err := m.Call(&req, data, deadline)
 	cl.phase(op, obs.PhaseMuxInflight, time.Since(callStart), trace)
 	if err != nil {
-		// Evict only broken conns; a strict-mux call timeout leaves the
-		// connection healthy (the late response is discarded by ID).
+		// Evict only broken conns; a call timeout leaves the connection
+		// healthy (the late response is discarded by ID).
 		if m.Dead() {
 			cl.pool.Fail(m)
 		} else {

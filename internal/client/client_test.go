@@ -62,11 +62,26 @@ func (fs *fakeServer) serve() {
 	}
 }
 
+// okResp builds a success response echoing req's correlation ID, as
+// every server does.
+func okResp(req *wire.Request, body any, dataFollows bool) wire.Response {
+	resp, _ := wire.OkResponse(body, dataFollows)
+	resp.ID = req.ID
+	return resp
+}
+
+// errResp builds a failure response echoing req's correlation ID.
+func errResp(req *wire.Request, err error) wire.Response {
+	resp := wire.ErrResponse(err)
+	resp.ID = req.ID
+	return resp
+}
+
 func TestRedirectLoopIsBounded(t *testing.T) {
 	// A server that always redirects to itself must not loop forever.
 	var addr string
 	addr = startFake(t, func(c *wire.Conn, req *wire.Request) error {
-		return c.WriteJSON(wire.MsgRedirect, wire.Redirect{Server: "fake", Addr: addr})
+		return c.WriteJSON(wire.MsgRedirect, wire.Redirect{ID: req.ID, Server: "fake", Addr: addr})
 	})
 	cl, err := Dial(addr, "u", "pw")
 	if err != nil {
@@ -95,7 +110,7 @@ func TestUnexpectedFrameIsAnError(t *testing.T) {
 
 func TestErrorBodiesDecode(t *testing.T) {
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
-		return c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E("op", "/x", types.ErrLocked)))
+		return c.WriteJSON(wire.MsgResponse, errResp(req, types.E("op", "/x", types.ErrLocked)))
 	})
 	cl, err := Dial(addr, "u", "pw")
 	if err != nil {
@@ -117,7 +132,7 @@ func TestRequestCarriesArgs(t *testing.T) {
 	got := make(chan wire.Request, 1)
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		got <- *req
-		resp, _ := wire.OkResponse(struct{}{}, false)
+		resp := okResp(req, struct{}{}, false)
 		return c.WriteJSON(wire.MsgResponse, resp)
 	})
 	cl, err := Dial(addr, "u", "pw")
@@ -152,7 +167,7 @@ func TestAllMethodsAgainstFake(t *testing.T) {
 		}
 		switch req.Op {
 		case wire.OpGet, wire.OpReadRange, wire.OpExecSQL, wire.OpInvoke, wire.OpShadowOpen:
-			resp, _ := wire.OkResponse(wire.SizeReply{Size: 4}, true)
+			resp := okResp(req, wire.SizeReply{Size: 4}, true)
 			if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
 				return err
 			}
@@ -161,49 +176,49 @@ func TestAllMethodsAgainstFake(t *testing.T) {
 			}
 			return c.WriteMsg(wire.MsgDataEnd, nil)
 		case wire.OpList:
-			resp, _ := wire.OkResponse([]types.Stat{{Path: "/x"}}, false)
+			resp := okResp(req, []types.Stat{{Path: "/x"}}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpStat:
-			resp, _ := wire.OkResponse(types.Stat{Path: "/x", Size: 4}, false)
+			resp := okResp(req, types.Stat{Path: "/x", Size: 4}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpGetObject, wire.OpIngest, wire.OpRegisterURL, wire.OpRegisterSQL, wire.OpMkContainer:
-			resp, _ := wire.OkResponse(types.DataObject{Name: "x", Collection: "/"}, false)
+			resp := okResp(req, types.DataObject{Name: "x", Collection: "/"}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpReplicate:
-			resp, _ := wire.OkResponse(types.Replica{Number: 1, Resource: "r"}, false)
+			resp := okResp(req, types.Replica{Number: 1, Resource: "r"}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpGetMeta:
-			resp, _ := wire.OkResponse([]types.AVU{{Name: "a", Value: "v"}}, false)
+			resp := okResp(req, []types.AVU{{Name: "a", Value: "v"}}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpAnnotations:
-			resp, _ := wire.OkResponse([]types.Annotation{{Author: "u", Text: "t"}}, false)
+			resp := okResp(req, []types.Annotation{{Author: "u", Text: "t"}}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpQuery:
-			resp, _ := wire.OkResponse(wire.QueryReply{Hits: []mcat.Hit{{Path: "/x"}}}, false)
+			resp := okResp(req, wire.QueryReply{Hits: []mcat.Hit{{Path: "/x"}}}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpQueryAttrs:
-			resp, _ := wire.OkResponse([]string{"a"}, false)
+			resp := okResp(req, []string{"a"}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpSyncContainer, wire.OpExtract:
-			resp, _ := wire.OkResponse(wire.CountReply{N: 2}, false)
+			resp := okResp(req, wire.CountReply{N: 2}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpIssueTicket:
-			resp, _ := wire.OkResponse(wire.TicketReply{ID: "tk"}, false)
+			resp := okResp(req, wire.TicketReply{ID: "tk"}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpAudit:
-			resp, _ := wire.OkResponse([]types.AuditRecord{{Op: "get"}}, false)
+			resp := okResp(req, []types.AuditRecord{{Op: "get"}}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpResources:
-			resp, _ := wire.OkResponse([]types.Resource{{Name: "r"}}, false)
+			resp := okResp(req, []types.Resource{{Name: "r"}}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpServerStats:
-			resp, _ := wire.OkResponse(wire.StatsReply{Server: "fake"}, false)
+			resp := okResp(req, wire.StatsReply{Server: "fake"}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		case wire.OpShadowList:
-			resp, _ := wire.OkResponse([]struct{ Path string }{{"/p"}}, false)
+			resp := okResp(req, []struct{ Path string }{{"/p"}}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		default:
-			resp, _ := wire.OkResponse(struct{}{}, false)
+			resp := okResp(req, struct{}{}, false)
 			return c.WriteJSON(wire.MsgResponse, resp)
 		}
 	})

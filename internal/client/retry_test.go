@@ -22,9 +22,9 @@ func TestClientRetriesIdempotentOnOffline(t *testing.T) {
 	var calls atomic.Int64
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		if calls.Add(1) <= 2 {
-			return c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E(req.Op, "/x", types.ErrOffline)))
+			return c.WriteJSON(wire.MsgResponse, errResp(req, types.E(req.Op, "/x", types.ErrOffline)))
 		}
-		resp, _ := wire.OkResponse(wire.SizeReply{Size: 2}, true)
+		resp := okResp(req, wire.SizeReply{Size: 2}, true)
 		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
 			return err
 		}
@@ -61,7 +61,7 @@ func TestClientNeverRetriesMutating(t *testing.T) {
 		if _, err := c.RecvData(discard{}); err != nil {
 			return err
 		}
-		return c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E(req.Op, "/x", types.ErrOffline)))
+		return c.WriteJSON(wire.MsgResponse, errResp(req, types.E(req.Op, "/x", types.ErrOffline)))
 	})
 	cl, err := Dial(addr, "alice", "pw")
 	if err != nil {
@@ -90,7 +90,7 @@ func TestClientReconnectsAfterTransportError(t *testing.T) {
 		if calls.Add(1) == 1 {
 			return errors.New("drop the connection mid-request")
 		}
-		resp, _ := wire.OkResponse(wire.SizeReply{Size: 2}, true)
+		resp := okResp(req, wire.SizeReply{Size: 2}, true)
 		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
 			return err
 		}
@@ -120,7 +120,7 @@ func TestClientTimeoutOnWire(t *testing.T) {
 	var sawBudget atomic.Int64
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		sawBudget.Store(req.TimeoutMillis)
-		return c.WriteJSON(wire.MsgResponse, wire.Response{OK: true})
+		return c.WriteJSON(wire.MsgResponse, wire.Response{ID: req.ID, OK: true})
 	})
 	cl, err := Dial(addr, "alice", "pw")
 	if err != nil {
@@ -141,7 +141,7 @@ func TestClientTimeoutOnWire(t *testing.T) {
 func TestClientTimeoutExpires(t *testing.T) {
 	addr := startFake(t, func(c *wire.Conn, req *wire.Request) error {
 		time.Sleep(2 * time.Second) // stall well past the client budget
-		return c.WriteJSON(wire.MsgResponse, wire.Response{OK: true})
+		return c.WriteJSON(wire.MsgResponse, wire.Response{ID: req.ID, OK: true})
 	})
 	cl, err := Dial(addr, "alice", "pw")
 	if err != nil {

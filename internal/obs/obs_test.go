@@ -140,19 +140,19 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 		t.Errorf("snapshot op = %+v", op)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := WritePrometheus(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
 	for _, want := range []string{
-		"storage.disk1.bytes_in 1024",
-		"catalog.objects 3",
-		"broker.get.count 2",
-		"broker.get.errors 1",
-		"uptime_seconds ",
+		"srb_storage_disk1_bytes_in_total 1024",
+		"srb_catalog_objects 3",
+		"srb_broker_get_ops_total 2",
+		"srb_broker_get_errors_total 1",
+		"srb_uptime_seconds ",
 	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("text dump missing %q:\n%s", want, text)
+			t.Errorf("text exposition missing %q:\n%s", want, text)
 		}
 	}
 }

@@ -13,8 +13,7 @@ import (
 // become `srb_`-prefixed underscore names, and each Op's latency
 // histogram is emitted as cumulative `_bucket{le="..."}` series (in
 // seconds) with `_sum`/`_count`, so a stock Prometheus scraper can
-// consume the srbd admin endpoint directly. The original plain dump
-// stays available at /metrics?format=text.
+// consume the srbd admin endpoint directly.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	var b strings.Builder
 

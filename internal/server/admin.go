@@ -44,7 +44,6 @@ type AdminEnv struct {
 // NewAdminHandler builds the admin mux over env. Routes:
 //
 //	/metrics       Prometheus text exposition format; append
-//	               ?format=text for the legacy "name value" dump,
 //	               ?format=openmetrics for OpenMetrics with trace-ID
 //	               tail exemplars on histogram buckets, or
 //	               ?window=5m for windowed rates/quantiles from the
@@ -86,8 +85,6 @@ func NewAdminHandler(env AdminEnv) http.Handler {
 			return
 		}
 		switch r.URL.Query().Get("format") {
-		case "text":
-			reg.WriteText(w)
 		case "openmetrics":
 			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 			obs.WriteOpenMetrics(w, reg.Snapshot())

@@ -7,660 +7,315 @@ import (
 	"strings"
 	"time"
 
-	"gosrb/internal/audit"
-
-	"gosrb/internal/core"
-
 	"gosrb/internal/acl"
+	"gosrb/internal/audit"
+	"gosrb/internal/core"
 	"gosrb/internal/mcat/shard"
 	"gosrb/internal/obs"
 	"gosrb/internal/types"
 	"gosrb/internal/wire"
 )
 
-// dispatch times one wire operation under a span: a missing trace ID is
-// minted here (this server originates the request), an inbound one is
-// kept — proxied requests carry it onward, so one user action shows up
-// under the same ID on every federation hop. The outcome (handler error
-// via ss.fail, or transport error) is attributed to the per-op metrics,
-// the trace ring and the log.
-func (s *Server) dispatch(ss *session, req *wire.Request) error {
-	if req.Trace == "" {
-		req.Trace = obs.NewTraceID()
-	}
-	ss.opErr = nil
-	ss.acctUser = ""
-	ss.bytesIn, ss.bytesOut = 0, 0
-	// The request's time budget starts counting here; federation hops
+// call is one request in flight and everything its handler sees: the
+// server, the connection's session, the request and the per-request
+// state dispatch accounts. Each request gets its own call, so pipelined
+// handlers never share mutable state.
+type call struct {
+	*Server
+	*session
+	req *wire.Request
+	// user is the effective user the op runs as (the asserted end user
+	// on peer hops), resolved before the handler runs; usage is
+	// accounted to it ("" = unresolved).
+	user string
+	// pre holds the request's inbound bulk-data stream, drained by the
+	// reader loop before dispatch (the stream sits between this request
+	// and the next one).
+	pre []byte
+	// deadline is the request's time budget (zero = unbounded), started
+	// at dispatch from wire.Request.TimeoutMillis; federation hops
 	// forward only what remains of it.
-	ss.deadline = time.Time{}
-	if req.TimeoutMillis > 0 {
-		ss.deadline = time.Now().Add(time.Duration(req.TimeoutMillis) * time.Millisecond)
-	}
-	// The caller's span ID (set by a federating server, never by a plain
-	// client) becomes this span's parent, so every hop's record
-	// reassembles into one tree. A positive Attempt marks a client-side
-	// retry of the same logical call.
-	sp := obs.StartSpanFrom(req.Trace, req.Span, req.Op)
-	var queueWait time.Duration
-	if !ss.enqueued.IsZero() {
-		// Pipelined request: backdate the span to when the reader loop
-		// enqueued it, so queue.wait + dispatch partition the span's wall
-		// clock exactly and queue pressure shows up in the trace, not as
-		// mystery latency before it.
-		queueWait = time.Since(ss.enqueued)
-		sp.Start = ss.enqueued
-		sp.Phase(obs.PhaseQueueWait, queueWait)
-	}
-	ss.span = sp
-	if req.Attempt > 0 {
-		sp.Event(obs.EventRetry, fmt.Sprintf("client attempt %d", req.Attempt+1))
-	}
-	err := s.dispatchOp(ss, req)
-	opErr := ss.opErr
-	if opErr == nil {
-		opErr = err
-	}
-	reg := s.broker.Metrics()
-	if ss.expired() {
-		reg.Counter("server.deadline.exceeded").Inc()
-		sp.Event(obs.EventDeadline, "budget exhausted")
-	}
-	elapsed := sp.Elapsed()
-	sp.Phase(obs.PhaseDispatch, elapsed-queueWait)
-	reg.Op("server."+req.Op).Observe(elapsed, opErr)
-	sp.End(reg.Traces(), s.name, ss.remote, opErr)
-	reg.RecordPhases("server", req.Op, req.Trace, sp.Events())
-	ss.span = nil
-	if ss.acctUser != "" {
-		reg.Usage().Record(ss.acctUser, collectionOf(req.Args), req.Trace, req.Op,
-			opErr != nil, ss.bytesIn, ss.bytesOut, elapsed)
-	}
-	if thr := time.Duration(s.slowOp.Load()); thr > 0 && elapsed >= thr {
-		// Outlier: log the whole local span tree while the ring still
-		// holds it, so the slow hop's causes (retries, breaker trips,
-		// failovers) are in the log even if nobody fetches the trace.
-		reg.Counter("server.slowops").Inc()
-		var tree strings.Builder
-		obs.WriteTree(&tree, obs.AssembleTree(reg.Traces().ForTrace(req.Trace)))
-		s.Logger.Infof("slow op %s took %s (threshold %s) trace=%s\n%s",
-			req.Op, elapsed, thr, req.Trace, tree.String())
-	}
-	if opErr != nil {
-		s.Logger.Infof("op %s user=%s remote=%s trace=%s: %v",
-			req.Op, ss.user+ss.peer, ss.remote, req.Trace, opErr)
-	} else {
-		s.Logger.Debugf("op %s user=%s remote=%s trace=%s ok",
-			req.Op, ss.user+ss.peer, ss.remote, req.Trace)
-	}
-	return err
+	deadline time.Time
+	// span is the request's trace span; handlers and the layers beneath
+	// them annotate it with retry/breaker/failover events.
+	span *obs.Span
+	// enqueued is when the reader loop finished reading the request.
+	// The span is backdated to it and the gap until dispatch is the
+	// queue.wait phase.
+	enqueued  time.Time
+	queueWait time.Duration
+	// bytesIn / bytesOut count bulk-data bytes received and sent while
+	// serving the request, for the usage accounting ledger.
+	bytesIn  int64
+	bytesOut int64
+	// opErr and elapsed are what commit recorded: the handler's error
+	// and the span's wall time when the reply went to the writer.
+	opErr   error
+	elapsed time.Duration
 }
 
-// dispatchOp executes one request and writes exactly one response (or a
-// redirect). Handler errors are turned into error responses; only
-// transport failures propagate and drop the connection.
-func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
-	user, err := ss.effectiveUser(req)
-	if err != nil {
-		return ss.fail(err)
+// handler serves one op: it writes exactly one reply (or redirect).
+// Only a transport failure writing it is returned.
+type handler func(c *call) error
+
+// op adapts a typed handler body: it decodes the request's args into A,
+// runs fn and sends fn's result as the reply — an error reply when fn
+// fails, `{}` when it returns a nil body. A dataReply streams its bytes
+// after the response and a *wire.Redirect is sent as a redirect.
+func op[A any](fn func(c *call, a A) (any, error)) handler {
+	return func(c *call) error {
+		a, err := decode[A](c.req)
+		if err != nil {
+			return c.respond(nil, err)
+		}
+		c.bytesIn += int64(len(c.pre))
+		return c.respond(fn(c, a))
 	}
-	// Every resolved request is accounted to its effective user (the
-	// asserted end user on peer hops), keyed by the op's collection.
-	ss.acctUser = user
-	// A request whose budget already ran out (it sat queued behind a
-	// slow one, or a hop forwarded a sliver) fails before any work.
-	// Ops that stream inbound data are exempt here: their data frames
-	// were already drained to keep the protocol healthy, so their
-	// handlers run and the deadline is enforced on the federation hop
-	// instead.
-	if !wire.StreamsIn(req.Op) && ss.expired() {
-		return ss.fail(types.E(req.Op, "", types.ErrTimeout))
-	}
-	b := s.broker
-	switch req.Op {
-	case wire.OpMkdir:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Mkdir(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
+}
 
-	case wire.OpRmColl:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.RmColl(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
+// dataReply is a reply whose bulk bytes follow the response frame.
+type dataReply struct {
+	body any
+	data []byte
+}
 
-	case wire.OpList:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		stats, err := b.List(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(stats)
+// sized wraps a plain data read: the response announces the byte count.
+func sized(data []byte, err error) (any, error) {
+	return dataReply{wire.SizeReply{Size: int64(len(data))}, data}, err
+}
 
-	case wire.OpStat:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		st, err := b.StatPath(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(st)
+// noArgs is the args type of ops that take none.
+type noArgs struct{}
 
-	case wire.OpGetObject:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, err := b.Cat.GetObject(a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpIngest:
-		a, err := decode[wire.IngestArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err // transport failure
-		}
-		ss.bytesIn += n
+// handlers is the server half of the op table: one handler per op the
+// wire.Specs table declares.
+var handlers = map[string]handler{
+	wire.OpMkdir: op(func(c *call, a wire.PathArgs) (any, error) {
+		return nil, c.broker.Mkdir(c.user, a.Path)
+	}),
+	wire.OpRmColl: op(func(c *call, a wire.PathArgs) (any, error) {
+		return nil, c.broker.RmColl(c.user, a.Path)
+	}),
+	wire.OpList: op(func(c *call, a wire.PathArgs) (any, error) {
+		return c.broker.List(c.user, a.Path)
+	}),
+	wire.OpStat: op(func(c *call, a wire.PathArgs) (any, error) {
+		return c.broker.StatPath(c.user, a.Path)
+	}),
+	wire.OpGetObject: op(func(c *call, a wire.PathArgs) (any, error) {
+		return c.broker.Cat.GetObject(a.Path)
+	}),
+	wire.OpIngest: op(func(c *call, a wire.IngestArgs) (any, error) {
 		// A remote target resource federates by proxy: the owning
 		// server performs the ingest.
-		if owner := s.resourceOwner(a.Resource); owner != "" && !ss.isPeer {
-			body, err := s.proxyIngest(owner, user, req, buf.Bytes(), ss.deadline, ss.span)
+		if owner := c.resourceOwner(a.Resource); owner != "" && !c.isPeer {
+			res, err := c.proxy(owner, c.user, c.req, c.pre, c.deadline, c.span)
 			if err != nil {
-				return ss.fail(err)
+				return nil, err
 			}
-			return ss.rawReply(body)
+			return res.Resp.Body, nil
 		}
-		opts := toIngestOpts(a, buf.Bytes())
-		opts.Span = ss.span
-		o, err := b.Ingest(user, opts)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpReingest:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err
-		}
-		ss.bytesIn += n
-		if err := b.Reingest(user, a.Path, buf.Bytes()); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpGet:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
+		return c.broker.Ingest(c.user, core.IngestOpts{
+			Path: a.Path, Data: c.pre, Resource: a.Resource,
+			Container: a.Container, DataType: a.DataType, Meta: a.Meta,
+			Span: c.span,
+		})
+	}),
+	wire.OpReingest: op(func(c *call, a wire.PathArgs) (any, error) {
+		return nil, c.broker.Reingest(c.user, a.Path, c.pre)
+	}),
+	wire.OpGet: op(func(c *call, a wire.PathArgs) (any, error) {
 		// A valid ticket lets the holder read with the issuer's
 		// authority — delegated access independent of ACL grants.
-		if req.Ticket != "" {
-			level, issuer, terr := s.tickets.Redeem(req.Ticket, a.Path)
-			if terr != nil {
-				return ss.fail(terr)
+		user := c.user
+		if c.req.Ticket != "" {
+			level, issuer, err := c.tickets.Redeem(c.req.Ticket, a.Path)
+			if err != nil {
+				return nil, err
 			}
 			if l, lerr := acl.ParseLevel(level); lerr == nil && l >= acl.Read {
 				user = issuer
 			}
 		}
-		if owner := s.localityOf(a.Path); owner != "" && !ss.isPeer {
-			return s.federate(ss, owner, user, req)
+		if owner := c.localityOf(a.Path); owner != "" && !c.isPeer {
+			return c.federate(owner, user)
 		}
-		data, err := b.GetTraced(user, a.Path, ss.span)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
-
-	case wire.OpIssueTicket:
-		a, err := decode[wire.TicketArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
+		return sized(c.broker.GetTraced(user, a.Path, c.span))
+	}),
+	wire.OpIssueTicket: op(func(c *call, a wire.TicketArgs) (any, error) {
 		// Only a user holding Own may delegate access to a path.
-		if b.Cat.EffectiveLevel(a.Path, user) < acl.Own {
-			return ss.fail(types.E("issueticket", a.Path, types.ErrPermission))
+		if c.broker.Cat.EffectiveLevel(a.Path, c.user) < acl.Own {
+			return nil, types.E("issueticket", a.Path, types.ErrPermission)
 		}
 		if _, err := acl.ParseLevel(a.Level); err != nil {
-			return ss.fail(types.E("issueticket", a.Level, types.ErrInvalid))
+			return nil, types.E("issueticket", a.Level, types.ErrInvalid)
 		}
 		ttl := time.Duration(a.TTLSeconds) * time.Second
 		if ttl <= 0 {
 			ttl = time.Hour
 		}
-		tk, err := s.tickets.Issue(user, a.Path, a.Level, a.Uses, time.Now().Add(ttl))
+		tk, err := c.tickets.Issue(c.user, a.Path, a.Level, a.Uses, time.Now().Add(ttl))
 		if err != nil {
-			return ss.fail(err)
+			return nil, err
 		}
-		return ss.reply(wire.TicketReply{ID: tk.ID})
-
-	case wire.OpReadRange:
-		a, err := decode[wire.RangeArgs](req)
-		if err != nil {
-			return ss.fail(err)
+		return wire.TicketReply{ID: tk.ID}, nil
+	}),
+	wire.OpReadRange: op(func(c *call, a wire.RangeArgs) (any, error) {
+		if owner := c.localityOf(a.Path); owner != "" && !c.isPeer {
+			return c.federate(owner, c.user)
 		}
-		if owner := s.localityOf(a.Path); owner != "" && !ss.isPeer {
-			return s.federate(ss, owner, user, req)
-		}
-		data, err := s.readRange(user, a)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
-
-	case wire.OpReplicate:
-		a, err := decode[wire.ReplicateArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rep, err := s.handleReplicate(user, ss, a)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpIngestReplica:
-		a, err := decode[wire.ReplicateArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err
-		}
-		ss.bytesIn += n
-		rep, err := b.IngestReplica(user, a.Path, a.Resource, buf.Bytes())
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpDelete:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Delete(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpDeleteReplica:
-		a, err := decode[wire.ReplicaArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.DeleteReplica(user, a.Path, types.ReplicaNumber(a.Number)); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpMove:
-		a, err := decode[wire.MoveArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Move(user, a.Src, a.Dst); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpCopy:
-		a, err := decode[wire.CopyArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Copy(user, a.Src, a.Dst, a.Resource); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpLink:
-		a, err := decode[wire.LinkArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Link(user, a.Target, a.LinkPath); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpAddMeta:
-		a, err := decode[wire.MetaArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.AddMeta(user, a.Path, types.MetaClass(a.Class), a.AVU); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpGetMeta:
-		a, err := decode[wire.GetMetaArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		avus, err := b.GetMeta(user, a.Path, types.MetaClass(a.Class))
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(avus)
-
-	case wire.OpAnnotate:
-		a, err := decode[wire.AnnotateArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Annotate(user, a.Path, a.Ann); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpAnnotations:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		anns, err := b.Annotations(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(anns)
-
-	case wire.OpQuery:
-		a, err := decode[wire.QueryArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
+		return sized(c.readRange(c.user, a))
+	}),
+	wire.OpReplicate: op(func(c *call, a wire.ReplicateArgs) (any, error) {
+		return c.replicate(a)
+	}),
+	wire.OpIngestReplica: op(func(c *call, a wire.ReplicateArgs) (any, error) {
+		return c.broker.IngestReplica(c.user, a.Path, a.Resource, c.pre)
+	}),
+	wire.OpDelete: op(func(c *call, a wire.PathArgs) (any, error) {
+		return nil, c.broker.Delete(c.user, a.Path)
+	}),
+	wire.OpDeleteReplica: op(func(c *call, a wire.ReplicaArgs) (any, error) {
+		return nil, c.broker.DeleteReplica(c.user, a.Path, types.ReplicaNumber(a.Number))
+	}),
+	wire.OpMove: op(func(c *call, a wire.MoveArgs) (any, error) {
+		return nil, c.broker.Move(c.user, a.Src, a.Dst)
+	}),
+	wire.OpCopy: op(func(c *call, a wire.CopyArgs) (any, error) {
+		return nil, c.broker.Copy(c.user, a.Src, a.Dst, a.Resource)
+	}),
+	wire.OpLink: op(func(c *call, a wire.LinkArgs) (any, error) {
+		return nil, c.broker.Link(c.user, a.Target, a.LinkPath)
+	}),
+	wire.OpAddMeta: op(func(c *call, a wire.MetaArgs) (any, error) {
+		return nil, c.broker.AddMeta(c.user, a.Path, types.MetaClass(a.Class), a.AVU)
+	}),
+	wire.OpGetMeta: op(func(c *call, a wire.GetMetaArgs) (any, error) {
+		return c.broker.GetMeta(c.user, a.Path, types.MetaClass(a.Class))
+	}),
+	wire.OpAnnotate: op(func(c *call, a wire.AnnotateArgs) (any, error) {
+		return nil, c.broker.Annotate(c.user, a.Path, a.Ann)
+	}),
+	wire.OpAnnotations: op(func(c *call, a wire.PathArgs) (any, error) {
+		return c.broker.Annotations(c.user, a.Path)
+	}),
+	wire.OpQuery: op(func(c *call, a wire.QueryArgs) (any, error) {
 		qstart := time.Now()
-		hits, partial, err := b.QueryPartial(user, a.Q)
+		hits, partial, err := c.broker.QueryPartial(c.user, a.Q)
 		if err != nil {
-			return ss.fail(err)
+			return nil, err
 		}
 		// On a sharded catalog the whole call is the scatter-gather
 		// fan-out; the router's own phase ops attribute the merge tail.
-		if sh, ok := b.Cat.(interface{ N() int }); ok && sh.N() > 1 {
-			ss.span.Phase(obs.PhaseShardFanout, time.Since(qstart))
+		if sh, ok := c.broker.Cat.(interface{ N() int }); ok && sh.N() > 1 {
+			c.span.Phase(obs.PhaseShardFanout, time.Since(qstart))
 		}
-		return ss.reply(wire.QueryReply{Hits: hits, Partial: partial})
-
-	case wire.OpQueryAttrs:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(b.QueryAttrNames(user, a.Path))
-
-	case wire.OpChmod:
-		a, err := decode[wire.ChmodArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
+		return wire.QueryReply{Hits: hits, Partial: partial}, nil
+	}),
+	wire.OpQueryAttrs: op(func(c *call, a wire.PathArgs) (any, error) {
+		return c.broker.QueryAttrNames(c.user, a.Path), nil
+	}),
+	wire.OpChmod: op(func(c *call, a wire.ChmodArgs) (any, error) {
 		level, err := acl.ParseLevel(a.Level)
 		if err != nil {
-			return ss.fail(types.E("chmod", a.Level, types.ErrInvalid))
+			return nil, types.E("chmod", a.Level, types.ErrInvalid)
 		}
-		if err := b.Chmod(user, a.Path, a.Grantee, level); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpLock:
-		a, err := decode[wire.LockArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
+		return nil, c.broker.Chmod(c.user, a.Path, a.Grantee, level)
+	}),
+	wire.OpLock: op(func(c *call, a wire.LockArgs) (any, error) {
 		kind, err := parseLockKind(a.Kind)
 		if err != nil {
-			return ss.fail(err)
+			return nil, err
 		}
-		if err := b.Lock(user, a.Path, kind, time.Duration(a.TTLSeconds)*time.Second); err != nil {
-			return ss.fail(err)
+		return nil, c.broker.Lock(c.user, a.Path, kind, time.Duration(a.TTLSeconds)*time.Second)
+	}),
+	wire.OpUnlock: op(func(c *call, a wire.PathArgs) (any, error) {
+		return nil, c.broker.Unlock(c.user, a.Path)
+	}),
+	wire.OpPin: op(func(c *call, a wire.PinArgs) (any, error) {
+		return nil, c.broker.Pin(c.user, a.Path, a.Resource, time.Duration(a.TTLSeconds)*time.Second)
+	}),
+	wire.OpUnpin: op(func(c *call, a wire.PinArgs) (any, error) {
+		return nil, c.broker.Unpin(c.user, a.Path, a.Resource)
+	}),
+	wire.OpCheckout: op(func(c *call, a wire.PathArgs) (any, error) {
+		return nil, c.broker.Checkout(c.user, a.Path)
+	}),
+	wire.OpCheckin: op(func(c *call, a wire.CheckinArgs) (any, error) {
+		return nil, c.broker.Checkin(c.user, a.Path, c.pre, a.Comment)
+	}),
+	wire.OpRegisterURL: op(func(c *call, a wire.RegisterURLArgs) (any, error) {
+		return c.broker.RegisterURL(c.user, a.Path, a.URL)
+	}),
+	wire.OpRegisterSQL: op(func(c *call, a wire.RegisterSQLArgs) (any, error) {
+		return c.broker.RegisterSQL(c.user, a.Path, a.Spec)
+	}),
+	wire.OpExecSQL: op(func(c *call, a wire.ExecSQLArgs) (any, error) {
+		if owner := c.sqlOwner(a.Path); owner != "" && !c.isPeer {
+			return c.federate(owner, c.user)
 		}
-		return ss.reply(struct{}{})
-
-	case wire.OpUnlock:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Unlock(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpPin:
-		a, err := decode[wire.PinArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Pin(user, a.Path, a.Resource, time.Duration(a.TTLSeconds)*time.Second); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpUnpin:
-		a, err := decode[wire.PinArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Unpin(user, a.Path, a.Resource); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpCheckout:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if err := b.Checkout(user, a.Path); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpCheckin:
-		a, err := decode[wire.CheckinArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err
-		}
-		ss.bytesIn += n
-		if err := b.Checkin(user, a.Path, buf.Bytes(), a.Comment); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(struct{}{})
-
-	case wire.OpRegisterURL:
-		a, err := decode[wire.RegisterURLArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, err := b.RegisterURL(user, a.Path, a.URL)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpRegisterSQL:
-		a, err := decode[wire.RegisterSQLArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, err := b.RegisterSQL(user, a.Path, a.Spec)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpExecSQL:
-		a, err := decode[wire.ExecSQLArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if owner := s.sqlOwner(a.Path); owner != "" && !ss.isPeer {
-			return s.federate(ss, owner, user, req)
-		}
-		data, err := b.ExecuteSQL(user, a.Path, a.Suffix)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
-
-	case wire.OpInvoke:
-		a, err := decode[wire.InvokeArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		data, err := b.InvokeMethod(user, a.Path, a.Args)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
-
-	case wire.OpMkContainer:
-		a, err := decode[wire.ContainerArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, err := b.CreateContainer(user, a.Path, a.Resource)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(o)
-
-	case wire.OpSyncContainer:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		n, err := b.SyncContainer(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.CountReply{N: n})
-
-	case wire.OpExtract:
-		a, err := decode[wire.ExtractArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		n, err := b.ExtractMeta(user, a.Path, a.Method, a.From)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.CountReply{N: n})
-
-	case wire.OpShadowList:
-		a, err := decode[wire.ShadowArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		infos, err := b.ShadowList(user, a.Path, a.Rel)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(infos)
-
-	case wire.OpShadowOpen:
-		a, err := decode[wire.ShadowArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		data, err := b.ShadowOpen(user, a.Path, a.Rel)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.replyData(data)
-
-	case wire.OpAddUser:
-		a, err := decode[wire.AddUserArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		if !b.Cat.IsAdmin(user) {
-			return ss.fail(types.E("adduser", a.Name, types.ErrPermission))
+		return sized(c.broker.ExecuteSQL(c.user, a.Path, a.Suffix))
+	}),
+	wire.OpInvoke: op(func(c *call, a wire.InvokeArgs) (any, error) {
+		return sized(c.broker.InvokeMethod(c.user, a.Path, a.Args))
+	}),
+	wire.OpMkContainer: op(func(c *call, a wire.ContainerArgs) (any, error) {
+		return c.broker.CreateContainer(c.user, a.Path, a.Resource)
+	}),
+	wire.OpSyncContainer: op(func(c *call, a wire.PathArgs) (any, error) {
+		n, err := c.broker.SyncContainer(c.user, a.Path)
+		return wire.CountReply{N: n}, err
+	}),
+	wire.OpExtract: op(func(c *call, a wire.ExtractArgs) (any, error) {
+		n, err := c.broker.ExtractMeta(c.user, a.Path, a.Method, a.From)
+		return wire.CountReply{N: n}, err
+	}),
+	wire.OpShadowList: op(func(c *call, a wire.ShadowArgs) (any, error) {
+		return c.broker.ShadowList(c.user, a.Path, a.Rel)
+	}),
+	wire.OpShadowOpen: op(func(c *call, a wire.ShadowArgs) (any, error) {
+		return sized(c.broker.ShadowOpen(c.user, a.Path, a.Rel))
+	}),
+	wire.OpAddUser: op(func(c *call, a wire.AddUserArgs) (any, error) {
+		cat := c.broker.Cat
+		if !cat.IsAdmin(c.user) {
+			return nil, types.E("adduser", a.Name, types.ErrPermission)
 		}
 		if a.Name == "" || a.Password == "" {
-			return ss.fail(types.E("adduser", a.Name, types.ErrInvalid))
+			return nil, types.E("adduser", a.Name, types.ErrInvalid)
 		}
 		domain := a.Domain
 		if domain == "" {
 			domain = "local"
 		}
-		if err := b.Cat.AddUser(types.User{Name: a.Name, Domain: domain, Admin: a.Admin}); err != nil {
-			return ss.fail(err)
+		if err := cat.AddUser(types.User{Name: a.Name, Domain: domain, Admin: a.Admin}); err != nil {
+			return nil, err
 		}
-		s.authn.Register(a.Name, a.Password)
-		b.Cat.AuditLog().Op(user, "adduser", a.Name, true, domain)
-		return ss.reply(struct{}{})
-
-	case wire.OpAudit:
-		a, err := decode[wire.AuditArgs](req)
-		if err != nil {
-			return ss.fail(err)
+		c.authn.Register(a.Name, a.Password)
+		cat.AuditLog().Op(c.user, "adduser", a.Name, true, domain)
+		return nil, nil
+	}),
+	wire.OpAudit: op(func(c *call, a wire.AuditArgs) (any, error) {
+		if !c.broker.Cat.IsAdmin(c.user) {
+			return nil, types.E("audit", "", types.ErrPermission)
 		}
-		if !b.Cat.IsAdmin(user) {
-			return ss.fail(types.E("audit", "", types.ErrPermission))
-		}
-		recs := b.Cat.AuditLog().Query(audit.Filter{User: a.User, Op: a.Op, Target: a.Target, Trace: a.Trace})
+		recs := c.broker.Cat.AuditLog().Query(audit.Filter{User: a.User, Op: a.Op, Target: a.Target, Trace: a.Trace})
 		if a.Limit > 0 && len(recs) > a.Limit {
 			recs = recs[len(recs)-a.Limit:]
 		}
-		return ss.reply(recs)
-
-	case wire.OpTrace:
-		a, err := decode[wire.TraceArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
+		return recs, nil
+	}),
+	wire.OpTrace: op(func(c *call, a wire.TraceArgs) (any, error) {
 		if a.ID == "" {
-			return ss.fail(types.E("trace", "", types.ErrInvalid))
+			return nil, types.E("trace", "", types.ErrInvalid)
 		}
 		// Client-facing requests fan out to every peer so the reply
 		// covers all hops of a federated operation; peer-forwarded
 		// requests answer from the local ring only.
-		return ss.reply(s.gatherTrace(user, a.ID, !ss.isPeer))
-
-	case wire.OpUsage:
-		a, err := decode[wire.UsageArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		entries := s.broker.Metrics().Usage().Snapshot()
+		return c.gatherTrace(c.user, a.ID, !c.isPeer), nil
+	}),
+	wire.OpUsage: op(func(c *call, a wire.UsageArgs) (any, error) {
+		entries := c.broker.Metrics().Usage().Snapshot()
 		if a.User != "" || a.Collection != "" {
 			kept := entries[:0]
 			for _, e := range entries {
@@ -674,186 +329,280 @@ func (s *Server) dispatchOp(ss *session, req *wire.Request) error {
 			}
 			entries = kept
 		}
-		return ss.reply(wire.UsageReply{Server: s.name, Entries: entries})
-
-	case wire.OpResources:
-		return ss.reply(b.Cat.Resources())
-
-	case wire.OpServerStats:
-		return ss.reply(s.stats())
-
-	case wire.OpOpStats:
-		return ss.reply(s.Telemetry())
-
-	case wire.OpRepairStatus:
-		return ss.reply(s.repairStatus())
-
-	case wire.OpShards:
-		if _, err := decode[wire.ShardsArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		if rt, ok := b.Cat.(interface{ Statuses() []shard.Status }); ok {
-			return ss.reply(wire.ShardsReply{Server: s.name, Shards: rt.Statuses()})
+		return wire.UsageReply{Server: c.name, Entries: entries}, nil
+	}),
+	wire.OpResources: op(func(c *call, _ noArgs) (any, error) {
+		return c.broker.Cat.Resources(), nil
+	}),
+	wire.OpServerStats: op(func(c *call, _ noArgs) (any, error) {
+		return c.stats(), nil
+	}),
+	wire.OpOpStats: op(func(c *call, _ noArgs) (any, error) {
+		return c.Telemetry(), nil
+	}),
+	wire.OpRepairStatus: op(func(c *call, _ noArgs) (any, error) {
+		return c.repairStatus(), nil
+	}),
+	wire.OpShards: op(func(c *call, _ wire.ShardsArgs) (any, error) {
+		if rt, ok := c.broker.Cat.(interface{ Statuses() []shard.Status }); ok {
+			return wire.ShardsReply{Server: c.name, Shards: rt.Statuses()}, nil
 		}
 		// Monolithic catalog: report the single implicit leader shard so
 		// `srb shards` works against any daemon.
-		st := b.Cat.Stats()
-		return ss.reply(wire.ShardsReply{Server: s.name, Shards: []shard.Status{{
+		st := c.broker.Cat.Stats()
+		return wire.ShardsReply{Server: c.name, Shards: []shard.Status{{
 			Role: string(shard.Leader), Objects: st.Objects,
 			Collections: st.Collections, MetaEntries: st.MetaEntries,
-		}}})
-
-	case wire.OpShardPull:
-		a, err := decode[wire.ShardPullArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
+		}}}, nil
+	}),
+	wire.OpShardPull: op(func(c *call, a wire.ShardPullArgs) (any, error) {
 		// The replication stream exposes the whole catalog, so only
 		// peer daemons and administrators may pull it.
-		if !ss.isPeer && !b.Cat.IsAdmin(user) {
-			return ss.fail(types.E("shardpull", "", types.ErrPermission))
+		if !c.isPeer && !c.broker.Cat.IsAdmin(c.user) {
+			return nil, types.E("shardpull", "", types.ErrPermission)
 		}
-		rt, ok := b.Cat.(interface {
+		rt, ok := c.broker.Cat.(interface {
 			Pull(int, uint64) (shard.PullResult, error)
 		})
 		if !ok {
-			return ss.fail(types.E("shardpull", "", types.ErrUnsupported))
+			return nil, types.E("shardpull", "", types.ErrUnsupported)
 		}
 		res, err := rt.Pull(a.Shard, a.After)
 		if err != nil {
-			return ss.fail(err)
+			return nil, err
 		}
-		return ss.reply(wire.ShardPullReply{
-			Server: s.name, Entries: res.Entries,
+		return wire.ShardPullReply{
+			Server: c.name, Entries: res.Entries,
 			Snapshot: res.Snapshot, Seq: res.Seq,
-		})
-
-	case wire.OpGridStat:
-		a, err := decode[wire.GridStatArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
+		}, nil
+	}),
+	wire.OpGridStat: op(func(c *call, a wire.GridStatArgs) (any, error) {
 		window := time.Duration(a.WindowSeconds) * time.Second
 		// Client-facing requests fan out to every peer for the grid
 		// view; peer-forwarded (or explicitly local) requests answer
 		// from the local ring only, bounding the gather to one hop.
-		fanout := !ss.isPeer && !a.LocalOnly
-		return ss.reply(s.gatherGridStat(user, window, fanout, ss.deadline, ss.span))
-
-	case wire.OpAlerts:
-		if _, err := decode[wire.AlertsArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(s.alerts())
-
-	case wire.OpIncidents:
-		if _, err := decode[wire.IncidentsArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(s.incidents())
-
-	case wire.OpIncidentGet:
-		a, err := decode[wire.IncidentGetArgs](req)
+		fanout := !c.isPeer && !a.LocalOnly
+		return c.gatherGridStat(c.user, window, fanout, c.deadline, c.span), nil
+	}),
+	wire.OpAlerts: op(func(c *call, _ wire.AlertsArgs) (any, error) {
+		return c.alerts(), nil
+	}),
+	wire.OpIncidents: op(func(c *call, _ wire.IncidentsArgs) (any, error) {
+		return c.incidents(), nil
+	}),
+	wire.OpIncidentGet: op(func(c *call, a wire.IncidentGetArgs) (any, error) {
+		return c.incidentGet(a.ID)
+	}),
+	wire.OpIncidentCapture: op(func(c *call, a wire.IncidentCaptureArgs) (any, error) {
+		return c.incidentCapture(a.Reason)
+	}),
+	wire.OpPeers: op(func(c *call, _ wire.PeersArgs) (any, error) {
+		return c.peersReply(), nil
+	}),
+	wire.OpHeat: op(func(c *call, _ wire.HeatArgs) (any, error) {
+		return c.heat(), nil
+	}),
+	wire.OpScrub: op(func(c *call, a wire.PathArgs) (any, error) {
+		rpt, err := c.broker.Scrub(c.user, a.Path, c.span)
+		return wire.ScrubReply{Server: c.name, Report: rpt}, err
+	}),
+	wire.OpChecksum: op(func(c *call, a wire.PathArgs) (any, error) {
+		o, verdicts, err := c.broker.VerifyChecksums(c.user, a.Path)
 		if err != nil {
-			return ss.fail(err)
+			return nil, err
 		}
-		rep, err := s.incidentGet(a.ID)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpIncidentCapture:
-		a, err := decode[wire.IncidentCaptureArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rep, err := s.incidentCapture(a.Reason)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpPeers:
-		if _, err := decode[wire.PeersArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(s.peersReply())
-
-	case wire.OpHeat:
-		if _, err := decode[wire.HeatArgs](req); err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(s.heat())
-
-	case wire.OpScrub:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rpt, err := s.broker.Scrub(user, a.Path, ss.span)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.ScrubReply{Server: s.name, Report: rpt})
-
-	case wire.OpChecksum:
-		a, err := decode[wire.PathArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		o, verdicts, err := s.broker.VerifyChecksums(user, a.Path)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(wire.ChecksumReply{Path: o.Path(), Checksum: o.Checksum, Verdicts: verdicts})
-
-	case wire.OpBulkPut:
-		a, err := decode[wire.BulkPutArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		var buf bytes.Buffer
-		n, err := ss.recvData(&buf)
-		if err != nil {
-			return err
-		}
-		ss.bytesIn += n
-		rep, err := s.handleBulkPut(user, ss, a, buf.Bytes(), req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		return ss.reply(rep)
-
-	case wire.OpMultiGet:
-		a, err := decode[wire.MultiGetArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		rep, data := s.handleMultiGet(user, ss, a, req)
-		return ss.replyDataBody(rep, data)
-
-	case wire.OpBulkStat:
-		a, err := decode[wire.BulkStatArgs](req)
-		if err != nil {
-			return ss.fail(err)
-		}
-		s.observeBatch(len(a.Paths))
-		rep := wire.BulkStatReply{Server: s.name}
+		return wire.ChecksumReply{Path: o.Path(), Checksum: o.Checksum, Verdicts: verdicts}, nil
+	}),
+	wire.OpBulkPut: op(func(c *call, a wire.BulkPutArgs) (any, error) {
+		return c.bulkPut(a)
+	}),
+	wire.OpMultiGet: op(func(c *call, a wire.MultiGetArgs) (any, error) {
+		return c.multiGet(a), nil
+	}),
+	wire.OpBulkStat: op(func(c *call, a wire.BulkStatArgs) (any, error) {
+		c.observeBatch(len(a.Paths))
+		rep := wire.BulkStatReply{Server: c.name}
 		for _, p := range a.Paths {
 			item := wire.BulkStatItem{Path: p}
-			if st, err := b.StatPath(user, p); err != nil {
+			if st, err := c.broker.StatPath(c.user, p); err != nil {
 				item.ErrKind, item.ErrMsg = wire.KindOf(err), err.Error()
 			} else {
 				item.OK, item.Stat = true, st
 			}
 			rep.Items = append(rep.Items, item)
 		}
-		return ss.reply(rep)
+		return rep, nil
+	}),
+}
 
-	default:
-		return ss.fail(types.E(req.Op, "", types.ErrUnsupported))
+// dispatch times one request under a span: a missing trace ID is
+// minted here (this server originates the request), an inbound one is
+// kept — proxied requests carry it onward, so one user action shows up
+// under the same ID on every federation hop. Telemetry is committed by
+// respond before the reply is written; the slow-op and error log lines
+// follow the send.
+func (c *call) dispatch() error {
+	req := c.req
+	if req.Trace == "" {
+		req.Trace = obs.NewTraceID()
 	}
+	// The request's time budget starts counting here; federation hops
+	// forward only what remains of it.
+	if req.TimeoutMillis > 0 {
+		c.deadline = time.Now().Add(time.Duration(req.TimeoutMillis) * time.Millisecond)
+	}
+	// The caller's span ID (set by a federating server, never by a plain
+	// client) becomes this span's parent, so every hop's record
+	// reassembles into one tree. The span is backdated to when the
+	// reader loop enqueued the request, so queue.wait + dispatch
+	// partition its wall clock exactly and queue pressure shows up in
+	// the trace, not as mystery latency before it.
+	c.span = obs.StartSpanFrom(req.Trace, req.Span, req.Op)
+	c.queueWait = time.Since(c.enqueued)
+	c.span.Start = c.enqueued
+	c.span.Phase(obs.PhaseQueueWait, c.queueWait)
+	// A positive Attempt marks a client-side retry of the same logical
+	// call.
+	if req.Attempt > 0 {
+		c.span.Event(obs.EventRetry, fmt.Sprintf("client attempt %d", req.Attempt+1))
+	}
+	err := c.serve()
+	opErr := c.opErr
+	if opErr == nil {
+		opErr = err
+	}
+	if thr := time.Duration(c.slowOp.Load()); thr > 0 && c.elapsed >= thr {
+		// Outlier: log the whole local span tree while the ring still
+		// holds it, so the slow hop's causes (retries, breaker trips,
+		// failovers) are in the log even if nobody fetches the trace.
+		reg := c.broker.Metrics()
+		reg.Counter("server.slowops").Inc()
+		var tree strings.Builder
+		obs.WriteTree(&tree, obs.AssembleTree(reg.Traces().ForTrace(req.Trace)))
+		c.Logger.Infof("slow op %s took %s (threshold %s) trace=%s\n%s",
+			req.Op, c.elapsed, thr, req.Trace, tree.String())
+	}
+	if opErr != nil {
+		c.Logger.Infof("op %s user=%s remote=%s trace=%s: %v",
+			req.Op, c.login+c.peer, c.remote, req.Trace, opErr)
+	} else {
+		c.Logger.Debugf("op %s user=%s remote=%s trace=%s ok",
+			req.Op, c.login+c.peer, c.remote, req.Trace)
+	}
+	return err
+}
+
+// serve resolves the effective user, enforces the time budget and runs
+// the op's handler.
+func (c *call) serve() error {
+	user, err := c.effectiveUser()
+	if err != nil {
+		return c.respond(nil, err)
+	}
+	c.user = user
+	// A request whose budget already ran out (it sat queued behind a
+	// slow one, or a hop forwarded a sliver) fails before any work.
+	// Ops that stream inbound data are exempt here: their data frames
+	// were already drained to keep the protocol healthy, so their
+	// handlers run and the deadline is enforced on the federation hop
+	// instead.
+	if !wire.StreamsIn(c.req.Op) && c.expired() {
+		return c.respond(nil, types.E(c.req.Op, "", types.ErrTimeout))
+	}
+	h, ok := handlers[c.req.Op]
+	if !ok {
+		return c.respond(nil, types.E(c.req.Op, "", types.ErrUnsupported))
+	}
+	return h(c)
+}
+
+// effectiveUser resolves the user an operation runs as.
+func (c *call) effectiveUser() (string, error) {
+	if c.isPeer {
+		if c.req.OnBehalf == "" {
+			return "", types.E(c.req.Op, "", types.ErrAuth)
+		}
+		return c.req.OnBehalf, nil
+	}
+	return c.login, nil
+}
+
+// expired reports whether the request's budget has run out.
+func (c *call) expired() bool {
+	return !c.deadline.IsZero() && !time.Now().Before(c.deadline)
+}
+
+// respond sends the request's one answer: an error response when err
+// is set, else body as a success response (with its data stream, for a
+// dataReply) or as a redirect. The request's telemetry is committed
+// before the frames go to the conn writer, so a client that reads
+// stats right after its reply always finds its own request counted.
+func (c *call) respond(body any, err error) error {
+	if rd, ok := body.(*wire.Redirect); ok && err == nil {
+		rd.ID = c.req.ID
+		c.commit(nil)
+		return c.w.send(func(wc *wire.Conn) error {
+			return wc.WriteJSON(wire.MsgRedirect, rd)
+		})
+	}
+	var data []byte
+	follows := false
+	switch r := body.(type) {
+	case nil:
+		body = struct{}{}
+	case dataReply:
+		body, data, follows = r.body, r.data, true
+	}
+	var resp wire.Response
+	if err == nil {
+		resp, err = wire.OkResponse(body, follows)
+	}
+	if err != nil {
+		resp = wire.ErrResponse(err)
+	}
+	resp.ID = c.req.ID
+	if resp.DataFollows {
+		c.bytesOut += int64(len(data))
+	}
+	c.commit(err)
+	return c.w.send(func(wc *wire.Conn) error {
+		if err := wc.WriteJSON(wire.MsgResponse, resp); err != nil || !resp.DataFollows {
+			return err
+		}
+		return wc.SendData(bytes.NewReader(data))
+	})
+}
+
+// commit records the request's telemetry once: the server.<op>
+// histogram, the span with its phase fold, and the usage row. The span
+// ends here, when the reply is handed to the writer, so a data reply's
+// send time is not inside server.<op>.
+func (c *call) commit(opErr error) {
+	c.opErr = opErr
+	req, sp, reg := c.req, c.span, c.broker.Metrics()
+	if c.expired() {
+		reg.Counter("server.deadline.exceeded").Inc()
+		sp.Event(obs.EventDeadline, "budget exhausted")
+	}
+	c.elapsed = sp.Elapsed()
+	sp.Phase(obs.PhaseDispatch, c.elapsed-c.queueWait)
+	reg.Op("server."+req.Op).Observe(c.elapsed, opErr)
+	sp.End(reg.Traces(), c.name, c.remote, opErr)
+	reg.RecordPhases("server", req.Op, req.Trace, sp.Events())
+	if c.user != "" {
+		reg.Usage().Record(c.user, collectionOf(req.Args), req.Trace, req.Op,
+			opErr != nil, c.bytesIn, c.bytesOut, c.elapsed)
+	}
+}
+
+// decode unmarshals request args.
+func decode[T any](req *wire.Request) (T, error) {
+	var v T
+	if len(req.Args) == 0 {
+		return v, nil
+	}
+	err := json.Unmarshal(req.Args, &v)
+	return v, err
 }
 
 // observeBatch records a batch op's item count in the batch-size
@@ -862,13 +611,14 @@ func (s *Server) observeBatch(n int) {
 	s.broker.Metrics().Op("server.batch.items").Observe(time.Duration(n)*time.Microsecond, nil)
 }
 
-// handleBulkPut ingests a batch in one round trip. The manifest must
-// account for the whole data stream byte-for-byte; items then succeed
-// or fail independently — each ingest is atomic per item, so a failed
-// item writes no partial rows and cannot tear down its batch-mates.
-// Items whose target resource lives on a peer are proxied item by item.
-func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, stream []byte, req *wire.Request) (wire.BulkPutReply, error) {
-	rep := wire.BulkPutReply{Server: s.name}
+// bulkPut ingests a batch in one round trip. The manifest must account
+// for the whole data stream byte-for-byte; items then succeed or fail
+// independently — each ingest is atomic per item, so a failed item
+// writes no partial rows and cannot tear down its batch-mates. Items
+// whose target resource lives on a peer are proxied item by item.
+func (c *call) bulkPut(a wire.BulkPutArgs) (wire.BulkPutReply, error) {
+	stream := c.pre
+	rep := wire.BulkPutReply{Server: c.name}
 	var total int64
 	for _, it := range a.Items {
 		if it.Size < 0 {
@@ -880,24 +630,24 @@ func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, str
 		return rep, types.E(wire.OpBulkPut, "",
 			fmt.Errorf("manifest declares %d bytes, stream carries %d: %w", total, len(stream), types.ErrInvalid))
 	}
-	s.observeBatch(len(a.Items))
+	c.observeBatch(len(a.Items))
 	off := int64(0)
 	for _, it := range a.Items {
 		data := stream[off : off+it.Size : off+it.Size]
 		off += it.Size
 		st := wire.BulkItemStatus{Path: it.Path, OK: true}
 		var err error
-		if owner := s.resourceOwner(it.Resource); owner != "" && !ss.isPeer {
-			ireq := &wire.Request{Op: wire.OpIngest, Trace: req.Trace}
-			ireq.Args, err = jsonMarshal(wire.IngestArgs{
+		if owner := c.resourceOwner(it.Resource); owner != "" && !c.isPeer {
+			ireq := &wire.Request{Op: wire.OpIngest, Trace: c.req.Trace}
+			ireq.Args, err = json.Marshal(wire.IngestArgs{
 				Path: it.Path, Resource: it.Resource, Container: it.Container,
 				DataType: it.DataType, Meta: it.Meta,
 			})
 			if err == nil {
-				_, err = s.proxyIngest(owner, user, ireq, data, ss.deadline, ss.span)
+				_, err = c.proxy(owner, c.user, ireq, data, c.deadline, c.span)
 			}
 		} else {
-			_, err = s.broker.Ingest(user, core.IngestOpts{
+			_, err = c.broker.Ingest(c.user, core.IngestOpts{
 				Path: it.Path, Data: data, Resource: it.Resource,
 				Container: it.Container, DataType: it.DataType, Meta: it.Meta,
 			})
@@ -911,30 +661,26 @@ func (s *Server) handleBulkPut(user string, ss *session, a wire.BulkPutArgs, str
 	return rep, nil
 }
 
-// handleMultiGet fetches a batch of objects, concatenating successful
-// items' bytes in request order (the reply manifest carries per-item
-// sizes so the client can slice the stream back apart). Items fail
+// multiGet fetches a batch of objects, concatenating successful items'
+// bytes in request order (the reply manifest carries per-item sizes so
+// the client can slice the stream back apart). Items fail
 // independently; remote-owned items are proxied like a single get.
-func (s *Server) handleMultiGet(user string, ss *session, a wire.MultiGetArgs, req *wire.Request) (wire.MultiGetReply, []byte) {
-	rep := wire.MultiGetReply{Server: s.name}
-	s.observeBatch(len(a.Paths))
+func (c *call) multiGet(a wire.MultiGetArgs) dataReply {
+	rep := wire.MultiGetReply{Server: c.name}
+	c.observeBatch(len(a.Paths))
 	var out []byte
 	for _, p := range a.Paths {
 		item := wire.MultiGetItem{Path: p}
 		var data []byte
 		var err error
-		if owner := s.localityOf(p); owner != "" && !ss.isPeer {
-			greq := &wire.Request{Op: wire.OpGet, Trace: req.Trace}
-			greq.Args, err = jsonMarshal(wire.PathArgs{Path: p})
+		if owner := c.localityOf(p); owner != "" && !c.isPeer {
+			greq := &wire.Request{Op: wire.OpGet, Trace: c.req.Trace}
+			greq.Args, err = json.Marshal(wire.PathArgs{Path: p})
 			if err == nil {
-				if addr, ok := s.PeerAddr(owner); ok {
-					data, err = s.proxyGet(owner, addr, user, greq, ss.deadline, ss.span)
-				} else {
-					err = types.E(wire.OpGet, owner, types.ErrOffline)
-				}
+				data, err = c.proxyGet(owner, c.user, greq, c.deadline, c.span)
 			}
 		} else {
-			data, err = s.broker.GetTraced(user, p, ss.span)
+			data, err = c.broker.GetTraced(c.user, p, c.span)
 		}
 		if err != nil {
 			item.ErrKind, item.ErrMsg = wire.KindOf(err), err.Error()
@@ -944,15 +690,7 @@ func (s *Server) handleMultiGet(user string, ss *session, a wire.MultiGetArgs, r
 		}
 		rep.Items = append(rep.Items, item)
 	}
-	return rep, out
-}
-
-// toIngestOpts converts wire args.
-func toIngestOpts(a wire.IngestArgs, data []byte) core.IngestOpts {
-	return core.IngestOpts{
-		Path: a.Path, Data: data, Resource: a.Resource,
-		Container: a.Container, DataType: a.DataType, Meta: a.Meta,
-	}
+	return dataReply{rep, out}
 }
 
 // readRange serves the parallel-transfer primitive.
@@ -977,17 +715,17 @@ func (s *Server) readRange(user string, a wire.RangeArgs) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// handleReplicate performs a replication that may cross server
-// boundaries: source bytes are fetched from wherever a clean replica
-// lives, and the owning server of the target resource stores the copy.
-func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs) (types.Replica, error) {
-	targetOwner := s.resourceOwner(a.Resource)
-	sourceOwner := s.localityOf(a.Path)
+// replicate performs a replication that may cross server boundaries:
+// source bytes are fetched from wherever a clean replica lives, and the
+// owning server of the target resource stores the copy.
+func (c *call) replicate(a wire.ReplicateArgs) (types.Replica, error) {
+	targetOwner := c.resourceOwner(a.Resource)
+	sourceOwner := c.localityOf(a.Path)
 	if targetOwner == "" && sourceOwner == "" {
 		// Fully local.
-		return s.broker.Replicate(user, a.Path, a.Resource)
+		return c.broker.Replicate(c.user, a.Path, a.Resource)
 	}
-	if ss.isPeer {
+	if c.isPeer {
 		// Peers only delegate the final local step; refuse loops.
 		return types.Replica{}, types.E("replicate", a.Path, types.ErrInvalid)
 	}
@@ -996,41 +734,34 @@ func (s *Server) handleReplicate(user string, ss *session, a wire.ReplicateArgs)
 	var data []byte
 	var err error
 	if sourceOwner == "" {
-		data, err = s.broker.Get(user, a.Path)
+		data, err = c.broker.Get(c.user, a.Path)
 	} else {
-		req := &wire.Request{Op: wire.OpGet}
-		req.Args, _ = jsonMarshal(wire.PathArgs{Path: a.Path})
-		addr, ok := s.PeerAddr(sourceOwner)
-		if !ok {
+		if _, ok := c.PeerAddr(sourceOwner); !ok {
 			return types.Replica{}, types.E("replicate", sourceOwner, types.ErrOffline)
 		}
-		data, err = s.proxyGet(sourceOwner, addr, user, req, ss.deadline, ss.span)
+		req := &wire.Request{Op: wire.OpGet}
+		req.Args, _ = json.Marshal(wire.PathArgs{Path: a.Path})
+		data, err = c.proxyGet(sourceOwner, c.user, req, c.deadline, c.span)
 	}
 	if err != nil {
 		return types.Replica{}, err
 	}
 	if targetOwner == "" {
 		// Target local: store directly.
-		return s.broker.IngestReplica(user, a.Path, a.Resource, data)
+		return c.broker.IngestReplica(c.user, a.Path, a.Resource, data)
 	}
 	// Target remote: the owning peer stores the replica.
-	req := &wire.Request{Op: wire.OpIngestReplica, OnBehalf: user}
-	req.Args, _ = jsonMarshal(wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
-	addr, ok := s.PeerAddr(targetOwner)
-	if !ok {
+	if _, ok := c.PeerAddr(targetOwner); !ok {
 		return types.Replica{}, types.E("replicate", targetOwner, types.ErrOffline)
 	}
-	var body json.RawMessage
-	err = s.peerDo(targetOwner, addr, ss.deadline, req, ss.span, func(pc *peerConn) error {
-		b, err := pc.roundTripIngest(req, data)
-		body = b
-		return err
-	})
+	req := &wire.Request{Op: wire.OpIngestReplica}
+	req.Args, _ = json.Marshal(wire.ReplicateArgs{Path: a.Path, Resource: a.Resource})
+	res, err := c.proxy(targetOwner, c.user, req, data, c.deadline, c.span)
 	if err != nil {
 		return types.Replica{}, err
 	}
 	var rep types.Replica
-	if err := jsonUnmarshal(body, &rep); err != nil {
+	if err := json.Unmarshal(res.Resp.Body, &rep); err != nil {
 		return types.Replica{}, err
 	}
 	return rep, nil
@@ -1044,27 +775,6 @@ func (s *Server) sqlOwner(path string) string {
 		return ""
 	}
 	return s.resourceOwner(o.SQL.Resource)
-}
-
-// proxyIngest relays an ingest request (with its data) to the owning
-// peer. Ingest mutates, so there is exactly one attempt.
-func (s *Server) proxyIngest(peerName, user string, req *wire.Request, data []byte, deadline time.Time, sp *obs.Span) ([]byte, error) {
-	addr, ok := s.PeerAddr(peerName)
-	if !ok {
-		return nil, types.E(req.Op, peerName, types.ErrOffline)
-	}
-	fwd := *req
-	fwd.OnBehalf = user
-	var body []byte
-	err := s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) error {
-		b, err := pc.roundTripIngest(&fwd, data)
-		body = b
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return body, nil
 }
 
 // collectionOf derives the usage-accounting key from a request's args:
@@ -1084,7 +794,3 @@ func collectionOf(args json.RawMessage) string {
 	}
 	return types.Parent(p)
 }
-
-// jsonMarshal / jsonUnmarshal keep the handler bodies terse.
-func jsonMarshal(v any) ([]byte, error)   { return json.Marshal(v) }
-func jsonUnmarshal(b []byte, v any) error { return json.Unmarshal(b, v) }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gosrb/internal/audit"
 	"gosrb/internal/client"
@@ -160,15 +161,14 @@ func TestAdminEndpoint(t *testing.T) {
 		}
 		return string(body)
 	}
-	metrics := get("/metrics?format=text")
-	for _, want := range []string{"broker.ingest.count", "server.ingest.p50_us", "storage.disk1.bytes_in", "audit.dropped", "uptime_seconds"} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics?format=text missing %q:\n%s", want, metrics)
-		}
-	}
 	// The default exposition is Prometheus text format.
 	prom := get("/metrics")
 	for _, want := range []string{
+		"srb_broker_ingest_ops_total",
+		"srb_server_ingest_duration_seconds_bucket",
+		"srb_storage_disk1_bytes_in_total",
+		"srb_audit_dropped",
+		"srb_uptime_seconds",
 		"# TYPE srb_uptime_seconds gauge",
 		"# TYPE srb_server_ingest_duration_seconds histogram",
 		"srb_server_ingest_ops_total 1",
@@ -248,9 +248,17 @@ func TestServerLoggerLevels(t *testing.T) {
 	if _, err := cl.Get("/home/missing.dat"); err == nil {
 		t.Fatal("expected notfound")
 	}
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
+	// The error line is written after the reply is sent, so wait for it
+	// (bounded) instead of racing the server goroutine.
+	var out string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		out = buf.String()
+		mu.Unlock()
+		if strings.Contains(out, "op get") || time.Now().After(deadline) {
+			break
+		}
+	}
 	if !strings.Contains(out, "op get") || !strings.Contains(out, "trace=") || !strings.Contains(out, "remote=") {
 		t.Errorf("error log missing op/remote/trace context: %q", out)
 	}

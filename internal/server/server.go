@@ -306,155 +306,15 @@ func (w *connWriter) send(fn func(c *wire.Conn) error) error {
 	return nil
 }
 
-// session is the state of one request on an authenticated connection.
-// The identity fields (user/peer/remote/w) are shared by every request
-// on the conn; the rest is per-request, forked fresh so pipelined
-// handlers never share mutable state.
+// session is the identity of one authenticated connection, shared by
+// every request on it.
 type session struct {
-	user   string // authenticated end user, or "" on peer connections
+	login  string // authenticated end user, or "" on peer connections
 	peer   string // authenticated peer server, or ""
 	isPeer bool
 	remote string // remote address, for log and trace context
 	// w is the conn's mutex-serialized response writer.
 	w *connWriter
-	// reqID is the request's correlation ID, echoed on every response
-	// (zero = serial protocol).
-	reqID uint64
-	// pre holds the request's inbound bulk-data stream, drained by the
-	// reader loop before dispatch (the stream belongs between the
-	// request and the next one; a pipelined handler reads it here).
-	pre    []byte
-	hasPre bool
-	// opErr records the handler error of the request being dispatched;
-	// the dispatch shim reads it to attribute errors to the op's
-	// metrics, span record and log line.
-	opErr error
-	// deadline is the current request's time budget (zero = unbounded),
-	// started at dispatch from wire.Request.TimeoutMillis; federation
-	// hops forward only what remains of it.
-	deadline time.Time
-	// span is the current request's trace span; handlers and the layers
-	// beneath them annotate it with retry/breaker/failover events.
-	span *obs.Span
-	// acctUser is the resolved effective user of the current request,
-	// recorded by dispatchOp for usage accounting ("" = unresolved).
-	acctUser string
-	// bytesIn / bytesOut count bulk-data bytes received and sent while
-	// serving the current request, for the usage accounting ledger.
-	bytesIn  int64
-	bytesOut int64
-	// enqueued is when the reader loop finished reading a pipelined
-	// request (zero on the serial path). The dispatch shim backdates the
-	// request span to it and attributes the gap to the queue.wait phase.
-	enqueued time.Time
-}
-
-// fork builds the per-request session for one dispatched request.
-func (ss *session) fork(reqID uint64) *session {
-	return &session{
-		user: ss.user, peer: ss.peer, isPeer: ss.isPeer,
-		remote: ss.remote, w: ss.w, reqID: reqID,
-	}
-}
-
-// expired reports whether the request's budget has run out.
-func (ss *session) expired() bool {
-	return !ss.deadline.IsZero() && !time.Now().Before(ss.deadline)
-}
-
-// recvData hands the handler its request's pre-read bulk data stream.
-func (ss *session) recvData(w io.Writer) (int64, error) {
-	if !ss.hasPre {
-		return 0, types.E("recvdata", "", types.ErrInvalid)
-	}
-	n, err := w.Write(ss.pre)
-	return int64(n), err
-}
-
-// reply sends a success response with body.
-func (ss *session) reply(body any) error {
-	resp, err := wire.OkResponse(body, false)
-	if err != nil {
-		return err
-	}
-	resp.ID = ss.reqID
-	return ss.w.send(func(c *wire.Conn) error {
-		return c.WriteJSON(wire.MsgResponse, resp)
-	})
-}
-
-// rawReply sends a success response with a pre-marshalled body (proxied
-// replies relay the owning server's bytes untouched).
-func (ss *session) rawReply(body json.RawMessage) error {
-	resp := wire.Response{ID: ss.reqID, OK: true, Body: body}
-	return ss.w.send(func(c *wire.Conn) error {
-		return c.WriteJSON(wire.MsgResponse, resp)
-	})
-}
-
-// fail reports a handler failure to the client and records it for the
-// dispatch shim.
-func (ss *session) fail(err error) error {
-	ss.opErr = err
-	resp := wire.ErrResponse(err)
-	resp.ID = ss.reqID
-	return ss.w.send(func(c *wire.Conn) error {
-		return c.WriteJSON(wire.MsgResponse, resp)
-	})
-}
-
-// replyData sends a success response announcing size, then the data —
-// one atomic unit under the conn writer lock — and accounts the sent
-// bytes to the session's usage ledger.
-func (ss *session) replyData(data []byte) error {
-	resp, err := wire.OkResponse(wire.SizeReply{Size: int64(len(data))}, true)
-	if err != nil {
-		return err
-	}
-	resp.ID = ss.reqID
-	ss.bytesOut += int64(len(data))
-	return ss.w.send(func(c *wire.Conn) error {
-		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
-			return err
-		}
-		return c.SendData(bytes.NewReader(data))
-	})
-}
-
-// replyDataBody is replyData with a custom response body (batch ops
-// announce per-item manifests instead of one size).
-func (ss *session) replyDataBody(body any, data []byte) error {
-	resp, err := wire.OkResponse(body, true)
-	if err != nil {
-		return err
-	}
-	resp.ID = ss.reqID
-	ss.bytesOut += int64(len(data))
-	return ss.w.send(func(c *wire.Conn) error {
-		if err := c.WriteJSON(wire.MsgResponse, resp); err != nil {
-			return err
-		}
-		return c.SendData(bytes.NewReader(data))
-	})
-}
-
-// redirect hands the client the owning server's address.
-func (ss *session) redirect(server, addr string) error {
-	rd := wire.Redirect{ID: ss.reqID, Server: server, Addr: addr}
-	return ss.w.send(func(c *wire.Conn) error {
-		return c.WriteJSON(wire.MsgRedirect, rd)
-	})
-}
-
-// effectiveUser resolves the user an operation runs as.
-func (ss *session) effectiveUser(req *wire.Request) (string, error) {
-	if ss.isPeer {
-		if req.OnBehalf == "" {
-			return "", types.E(req.Op, "", types.ErrAuth)
-		}
-		return req.OnBehalf, nil
-	}
-	return ss.user, nil
 }
 
 // maxPipelined bounds concurrently dispatched requests per connection;
@@ -478,47 +338,45 @@ func (s *Server) handleConn(nc net.Conn) error {
 	sem := make(chan struct{}, maxPipelined)
 	var inflight atomic.Int64
 	for {
-		var req wire.Request
-		if err := c.ReadJSON(wire.MsgRequest, &req); err != nil {
+		req := new(wire.Request)
+		if err := c.ReadJSON(wire.MsgRequest, req); err != nil {
 			return err
 		}
-		ss := base.fork(req.ID)
+		if req.ID == 0 {
+			// Every response is matched by its correlation ID; a request
+			// without one could only be answered ambiguously.
+			return fmt.Errorf("wire: %s request without correlation ID: %w", req.Op, types.ErrInvalid)
+		}
+		cl := &call{Server: s, session: base, req: req}
 		if wire.StreamsIn(req.Op) {
 			// The op's bulk data sits between this request and the next;
-			// drain it here so the reader can move on while a pipelined
-			// handler works. (This also keeps framing healthy when the
-			// handler rejects the op before touching the data.)
+			// drain it here so the reader can move on while the handler
+			// works. (This also keeps framing healthy when the handler
+			// rejects the op before touching the data.)
 			var buf bytes.Buffer
 			if _, err := c.RecvData(&buf); err != nil {
 				return err
 			}
-			ss.pre, ss.hasPre = buf.Bytes(), true
+			cl.pre = buf.Bytes()
 		}
-		if req.ID == 0 {
-			// Serial protocol: dispatch inline, strictly in order.
-			if err := s.dispatch(ss, &req); err != nil {
-				return err
-			}
-			continue
-		}
-		// Pipelined: dispatch concurrently, bounded by maxPipelined.
-		// The depth histogram records how deep the pipeline actually
-		// runs (depth encoded as microseconds in the pow-2 buckets).
+		// Dispatch concurrently, bounded by maxPipelined. The depth
+		// histogram records how deep the pipeline actually runs (depth
+		// encoded as microseconds in the pow-2 buckets).
 		depth := inflight.Add(1)
 		depthHist.Observe(time.Duration(depth)*time.Microsecond, nil)
 		pipeGauge.Add(1)
-		ss.enqueued = time.Now()
+		cl.enqueued = time.Now()
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(req wire.Request, ss *session) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem; inflight.Add(-1); pipeGauge.Add(-1) }()
-			if err := s.dispatch(ss, &req); err != nil {
+			if err := cl.dispatch(); err != nil {
 				// Transport failure writing the response: the writer
 				// latched it and closed the conn, unblocking the reader.
-				s.Logger.Errorf("conn %s: pipelined %s: %v", ss.remote, req.Op, err)
+				s.Logger.Errorf("conn %s: pipelined %s: %v", cl.remote, req.Op, err)
 			}
-		}(req, ss)
+		}()
 	}
 }
 
@@ -548,21 +406,9 @@ func (s *Server) handshake(c *wire.Conn) (*session, error) {
 			c.WriteJSON(wire.MsgResponse, wire.ErrResponse(types.E("auth", a.User, types.ErrAuth)))
 			return nil, types.E("auth", a.User, types.ErrAuth)
 		}
-		ss.user = a.User
+		ss.login = a.User
 	}
-	// Mux:true advertises that this server echoes correlation IDs, so
-	// clients may pipeline requests over this connection.
-	return ss, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name, Mux: true})
-}
-
-// decode unmarshals request args.
-func decode[T any](req *wire.Request) (T, error) {
-	var v T
-	if len(req.Args) == 0 {
-		return v, nil
-	}
-	err := json.Unmarshal(req.Args, &v)
-	return v, err
+	return ss, c.WriteJSON(wire.MsgAuthOK, wire.AuthOK{Server: s.name})
 }
 
 // localityOf classifies where a file object's clean replicas live:
@@ -620,25 +466,21 @@ func (s *Server) resourceOwner(resource string) string {
 
 // federate serves a get-style request for data owned by peerName:
 // proxy mode relays the bytes, redirect mode hands the client the
-// owning server's address. The forwarded request keeps req.Trace, so
-// the same trace ID lands in both servers' records.
-func (s *Server) federate(ss *session, peerName, user string, req *wire.Request) error {
-	addr, ok := s.PeerAddr(peerName)
+// owning server's address. The forwarded request keeps its trace ID,
+// so the same trace ID lands in both servers' records.
+func (c *call) federate(peerName, user string) (any, error) {
+	addr, ok := c.PeerAddr(peerName)
 	if !ok {
-		return ss.fail(types.E(req.Op, peerName, types.ErrOffline))
+		return nil, types.E(c.req.Op, peerName, types.ErrOffline)
 	}
-	if s.mode == Redirect {
-		return ss.redirect(peerName, addr)
+	if c.mode == Redirect {
+		return &wire.Redirect{Server: peerName, Addr: addr}, nil
 	}
 	// Serving a read through a peer is the federation-level failover:
 	// either the data only lives there, or the local replica's resource
 	// breaker routed around a failing driver.
-	ss.span.Event(obs.EventFailover, "read via peer "+peerName)
-	data, err := s.proxyGet(peerName, addr, user, req, ss.deadline, ss.span)
-	if err != nil {
-		return ss.fail(err)
-	}
-	return ss.replyData(data)
+	c.span.Event(obs.EventFailover, "read via peer "+peerName)
+	return sized(c.proxyGet(peerName, user, c.req, c.deadline, c.span))
 }
 
 // peerBreaker returns the circuit breaker guarding one federated peer.
@@ -700,11 +542,17 @@ func (s *Server) peerDo(peerName, addr string, deadline time.Time, req *wire.Req
 	return nil
 }
 
-// retrier builds the federation retry loop for one idempotent request.
-// Each retry lands as both a counter tick and an event on sp.
-func (s *Server) retrier(deadline time.Time, sp *obs.Span) resilience.Retrier {
+// retrier builds the federation retry loop for one request. Ops the
+// wire table does not mark idempotent get exactly one attempt — a lost
+// response does not prove the mutation was lost. Each retry lands as
+// both a counter tick and an event on sp.
+func (s *Server) retrier(op string, deadline time.Time, sp *obs.Span) resilience.Retrier {
+	policy := s.retry
+	if !wire.Idempotent(op) {
+		policy.MaxAttempts = 1
+	}
 	return resilience.Retrier{
-		Policy:   s.retry,
+		Policy:   policy,
 		Sleep:    s.sleep,
 		Deadline: deadline,
 		OnRetry: func(attempt int, err error) {
@@ -734,60 +582,46 @@ func shrinkBudget(req *wire.Request, deadline time.Time) error {
 	return nil
 }
 
-// proxyGet relays a data-returning request to a peer over a
-// peer-authenticated connection, retrying idempotent ops under the
-// server's backoff policy.
-func (s *Server) proxyGet(peerName, addr, user string, req *wire.Request, deadline time.Time, sp *obs.Span) ([]byte, error) {
-	var data []byte
-	do := func() error {
-		fwd := *req
-		fwd.OnBehalf = user
-		return s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) error {
-			d, err := pc.roundTripData(&fwd)
-			data = d
-			return err
-		})
-	}
-	if !wire.Idempotent(req.Op) {
-		if err := do(); err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
-	r := s.retrier(deadline, sp)
-	if err := r.Do(do); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// proxyCall relays a non-data request to a peer.
-func (s *Server) proxyCall(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span) (json.RawMessage, error) {
+// proxy relays req — with data, when the op streams in — to peerName
+// on behalf of user over a pooled peer-authenticated connection, under
+// the federation retry loop, and returns the peer's success answer.
+func (s *Server) proxy(peerName, user string, req *wire.Request, data []byte, deadline time.Time, sp *obs.Span) (*wire.CallResult, error) {
 	addr, ok := s.PeerAddr(peerName)
 	if !ok {
 		return nil, types.E(req.Op, peerName, types.ErrOffline)
 	}
-	var body json.RawMessage
-	do := func() error {
-		fwd := *req
-		fwd.OnBehalf = user
-		return s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) error {
-			b, err := pc.roundTrip(&fwd)
-			body = b
-			return err
-		})
-	}
-	if !wire.Idempotent(req.Op) {
-		if err := do(); err != nil {
-			return nil, err
-		}
-		return body, nil
-	}
-	r := s.retrier(deadline, sp)
-	if err := r.Do(do); err != nil {
+	var res *wire.CallResult
+	err := s.retrier(req.Op, deadline, sp).Do(func() (err error) {
+		res, err = s.hop(peerName, addr, user, req, data, deadline, sp)
+		return err
+	})
+	return res, err
+}
+
+// hop is one federation attempt: req goes out under peerDo's breaker,
+// budget and pool discipline.
+func (s *Server) hop(peerName, addr, user string, req *wire.Request, data []byte, deadline time.Time, sp *obs.Span) (*wire.CallResult, error) {
+	fwd := *req
+	fwd.OnBehalf = user
+	var res *wire.CallResult
+	err := s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) (err error) {
+		res, err = pc.call(&fwd, data)
+		return err
+	})
+	return res, err
+}
+
+// proxyGet relays a data-returning request and returns the bytes that
+// followed the peer's reply.
+func (s *Server) proxyGet(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span) ([]byte, error) {
+	res, err := s.proxy(peerName, user, req, nil, deadline, sp)
+	if err != nil {
 		return nil, err
 	}
-	return body, nil
+	if !res.Resp.DataFollows {
+		return nil, types.E(req.Op, peerName, types.ErrInvalid)
+	}
+	return res.Data, nil
 }
 
 // peerConn is one checked-out federation call slot: a pooled Mux plus
@@ -838,11 +672,18 @@ func (s *Server) dialPeerMux(addr string) (*wire.Mux, error) {
 		nc.Close()
 		return nil, types.E("peerauth", addr, types.ErrAuth)
 	}
-	return wire.NewMux(nc, c, ok.Server, ok.Mux), nil
+	return wire.NewMux(nc, c, ok.Server), nil
 }
 
-func (p *peerConn) roundTrip(req *wire.Request) (json.RawMessage, error) {
-	res, err := p.m.Call(req, nil, p.deadline)
+// call runs one exchange on the checked-out conn: req, then data when
+// the op streams in, then the matched answer. A redirect or an error
+// reply fails it.
+func (p *peerConn) call(req *wire.Request, data []byte) (*wire.CallResult, error) {
+	var in io.Reader
+	if wire.StreamsIn(req.Op) {
+		in = bytes.NewReader(data)
+	}
+	res, err := p.m.Call(req, in, p.deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -852,41 +693,11 @@ func (p *peerConn) roundTrip(req *wire.Request) (json.RawMessage, error) {
 	if !res.Resp.OK {
 		return nil, res.Resp.Err()
 	}
-	return res.Resp.Body, nil
-}
-
-func (p *peerConn) roundTripData(req *wire.Request) ([]byte, error) {
-	res, err := p.m.Call(req, nil, p.deadline)
-	if err != nil {
-		return nil, err
-	}
-	if res.Redirect != nil {
-		return nil, types.E(req.Op, "", types.ErrInvalid)
-	}
-	if !res.Resp.OK {
-		return nil, res.Resp.Err()
-	}
-	if !res.Resp.DataFollows {
-		return nil, types.E(req.Op, "", types.ErrInvalid)
+	if in != nil {
+		p.bytes += int64(len(data))
 	}
 	p.bytes += int64(len(res.Data))
-	return res.Data, nil
-}
-
-// roundTripIngest relays an ingest (request, then data, then response).
-func (p *peerConn) roundTripIngest(req *wire.Request, data []byte) (json.RawMessage, error) {
-	res, err := p.m.Call(req, bytes.NewReader(data), p.deadline)
-	if err != nil {
-		return nil, err
-	}
-	if res.Redirect != nil {
-		return nil, types.E(req.Op, "", types.ErrInvalid)
-	}
-	if !res.Resp.OK {
-		return nil, res.Resp.Err()
-	}
-	p.bytes += int64(len(data))
-	return res.Resp.Body, nil
+	return res, nil
 }
 
 // parseLockKind maps wire lock names.
@@ -945,12 +756,12 @@ func (s *Server) gatherTrace(user, id string, fanout bool) wire.TraceReply {
 				continue
 			}
 			req := &wire.Request{Op: wire.OpTrace, Args: args}
-			body, err := s.proxyCall(pn, user, req, time.Time{}, nil)
+			res, err := s.proxy(pn, user, req, nil, time.Time{}, nil)
 			if err != nil {
 				continue
 			}
 			var rep wire.TraceReply
-			if json.Unmarshal(body, &rep) == nil {
+			if json.Unmarshal(res.Resp.Body, &rep) == nil {
 				spans = append(spans, rep.Spans...)
 			}
 		}
@@ -1100,26 +911,6 @@ func (s *Server) localGridMember(window time.Duration) wire.GridMember {
 	return m
 }
 
-// gridStatOnce sends one grid-stat hop with a single attempt — no
-// retry loop. Partial answers are the point of the grid gather: a dead
-// peer must cost one failed dial inside the caller's deadline (and a
-// breaker fast-fail on later scrapes), not a backoff cycle.
-func (s *Server) gridStatOnce(peerName, user string, req *wire.Request, deadline time.Time, sp *obs.Span) (json.RawMessage, error) {
-	addr, ok := s.PeerAddr(peerName)
-	if !ok {
-		return nil, types.E(req.Op, peerName, types.ErrOffline)
-	}
-	var body json.RawMessage
-	fwd := *req
-	fwd.OnBehalf = user
-	err := s.peerDo(peerName, addr, deadline, &fwd, sp, func(pc *peerConn) error {
-		b, err := pc.roundTrip(&fwd)
-		body = b
-		return err
-	})
-	return body, err
-}
-
 // gatherGridStat merges the zone's windowed stats: this server's view
 // plus — when fanout is set — every peer's, gathered best-effort with
 // LocalOnly set so the fan-out is bounded to one hop (the same shape
@@ -1145,14 +936,19 @@ func (s *Server) gatherGridStat(user string, window time.Duration, fanout bool, 
 			if err != nil {
 				continue
 			}
+			// One attempt, no retry loop: partial answers are the point
+			// of the gather, so a dead peer must cost one failed dial
+			// inside the caller's deadline (and a breaker fast-fail on
+			// later scrapes), not a backoff cycle.
 			req := &wire.Request{Op: wire.OpGridStat, Args: args}
-			body, err := s.gridStatOnce(pn, user, req, deadline, sp)
+			addr, _ := s.PeerAddr(pn)
+			res, err := s.hop(pn, addr, user, req, nil, deadline, sp)
 			if err != nil {
 				members = append(members, wire.GridMember{Server: pn, Unreachable: true, Err: err.Error()})
 				continue
 			}
 			var rep wire.GridStatReply
-			if err := json.Unmarshal(body, &rep); err != nil || len(rep.Members) == 0 {
+			if err := json.Unmarshal(res.Resp.Body, &rep); err != nil || len(rep.Members) == 0 {
 				members = append(members, wire.GridMember{Server: pn, Unreachable: true, Err: "malformed grid-stat reply"})
 				continue
 			}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"net"
 	"testing"
@@ -61,14 +63,28 @@ func rawPeerConn(t *testing.T, addr, peerName, secret string) *wire.Conn {
 	return c
 }
 
-func roundTrip(t *testing.T, c *wire.Conn, req wire.Request) wire.Response {
+// roundTrip sends one request — plus data when the op streams in — and
+// reads its response, which must echo the request's correlation ID.
+// Requests go one at a time, so an unset ID defaults to 1.
+func roundTrip(t *testing.T, c *wire.Conn, req wire.Request, data []byte) wire.Response {
 	t.Helper()
+	if req.ID == 0 {
+		req.ID = 1
+	}
 	if err := c.WriteJSON(wire.MsgRequest, req); err != nil {
 		t.Fatal(err)
+	}
+	if wire.StreamsIn(req.Op) {
+		if err := c.SendData(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var resp wire.Response
 	if err := c.ReadJSON(wire.MsgResponse, &resp); err != nil {
 		t.Fatal(err)
+	}
+	if resp.ID != req.ID {
+		t.Fatalf("%s: response ID %d, want %d", req.Op, resp.ID, req.ID)
 	}
 	return resp
 }
@@ -77,12 +93,12 @@ func TestPeerRequestNeedsOnBehalf(t *testing.T) {
 	z := newZone(t, Proxy)
 	c := rawPeerConn(t, z.addr1, "srb2", zoneSecret)
 	// A peer request without OnBehalf has no effective user: refused.
-	resp := roundTrip(t, c, wire.Request{Op: wire.OpList, Args: mustJSON(t, wire.PathArgs{Path: "/"})})
+	resp := roundTrip(t, c, wire.Request{Op: wire.OpList, Args: mustJSON(t, wire.PathArgs{Path: "/"})}, nil)
 	if resp.OK || !errors.Is(resp.Err(), types.ErrAuth) {
 		t.Errorf("peer without OnBehalf = %+v", resp)
 	}
 	// With OnBehalf the zone trust applies.
-	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, OnBehalf: "admin", Args: mustJSON(t, wire.PathArgs{Path: "/"})})
+	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, OnBehalf: "admin", Args: mustJSON(t, wire.PathArgs{Path: "/"})}, nil)
 	if !resp.OK {
 		t.Errorf("peer with OnBehalf = %+v", resp.Err())
 	}
@@ -93,7 +109,7 @@ func TestOnBehalfIgnoredForUsers(t *testing.T) {
 	c := rawConn(t, z.addr1, "alice", "alicepw")
 	// A normal user cannot escalate by claiming OnBehalf=admin: the
 	// op runs as alice, who may not audit.
-	resp := roundTrip(t, c, wire.Request{Op: wire.OpAudit, OnBehalf: "admin", Args: mustJSON(t, wire.AuditArgs{})})
+	resp := roundTrip(t, c, wire.Request{Op: wire.OpAudit, OnBehalf: "admin", Args: mustJSON(t, wire.AuditArgs{})}, nil)
 	if resp.OK || !errors.Is(resp.Err(), types.ErrPermission) {
 		t.Errorf("OnBehalf escalation = %+v", resp)
 	}
@@ -127,17 +143,17 @@ func TestBadPeerSecretRejected(t *testing.T) {
 func TestUnknownOpAndBadArgs(t *testing.T) {
 	z := newZone(t, Proxy)
 	c := rawConn(t, z.addr1, "alice", "alicepw")
-	resp := roundTrip(t, c, wire.Request{Op: "frobnicate"})
+	resp := roundTrip(t, c, wire.Request{Op: "frobnicate"}, nil)
 	if resp.OK || !errors.Is(resp.Err(), types.ErrUnsupported) {
 		t.Errorf("unknown op = %+v", resp)
 	}
 	// Malformed args JSON yields an error response, not a dropped
 	// connection: the next request still works.
-	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, Args: []byte(`{"Path": 42}`)})
+	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, Args: []byte(`{"Path": 42}`)}, nil)
 	if resp.OK {
 		t.Error("malformed args should fail")
 	}
-	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, Args: mustJSON(t, wire.PathArgs{Path: "/home"})})
+	resp = roundTrip(t, c, wire.Request{Op: wire.OpList, Args: mustJSON(t, wire.PathArgs{Path: "/home"})}, nil)
 	if !resp.OK {
 		t.Errorf("connection should survive a bad request: %+v", resp.Err())
 	}
@@ -195,7 +211,7 @@ func TestTicketBelowReadGrantsNothing(t *testing.T) {
 
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
-	b, err := jsonMarshal(v)
+	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}

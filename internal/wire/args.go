@@ -126,17 +126,97 @@ const (
 	OpHeat = "heat"
 )
 
-// StreamsIn reports whether op is followed by an inbound bulk data
-// stream (Data frames ended by DataEnd). The pipelined server must
-// drain the stream before dispatching the next request, so this set
-// must name every op whose request precedes data.
-func StreamsIn(op string) bool {
-	switch op {
-	case OpIngest, OpReingest, OpIngestReplica, OpCheckin, OpBulkPut:
-		return true
-	}
-	return false
+// Spec is an op's protocol contract. Every op the server dispatches is
+// declared once in Specs; an op missing from the table gets the zero
+// Spec — never retried, no inbound stream — which is the safe default.
+type Spec struct {
+	// Idempotent ops are safe to retry: re-running them cannot change
+	// grid state. Mutating ops (ingest, write, delete, move, locks,
+	// tickets, ...) must never be retried blindly — a lost response
+	// does not prove the mutation was lost.
+	Idempotent bool
+	// StreamsIn ops send an inbound bulk data stream (Data frames ended
+	// by DataEnd) right after the request. The pipelined server drains
+	// it before dispatching the next request.
+	StreamsIn bool
 }
+
+// Specs declares every op, keyed by its wire name.
+var Specs = map[string]Spec{
+	OpMkdir:    {},
+	OpRmColl:   {},
+	OpList:     {Idempotent: true},
+	OpStat:     {Idempotent: true},
+	OpIngest:   {StreamsIn: true},
+	OpReingest: {StreamsIn: true},
+	// Ticket redemption decrements a use count, so a retry after a
+	// transport failure may burn an extra use: the accepted cost of
+	// delegated reads staying available.
+	OpGet:           {Idempotent: true},
+	OpReadRange:     {Idempotent: true},
+	OpReplicate:     {},
+	OpDelete:        {},
+	OpDeleteReplica: {},
+	OpMove:          {},
+	OpCopy:          {},
+	OpLink:          {},
+	OpAddMeta:       {},
+	OpGetMeta:       {Idempotent: true},
+	OpAnnotate:      {},
+	OpAnnotations:   {Idempotent: true},
+	OpQuery:         {Idempotent: true},
+	OpQueryAttrs:    {Idempotent: true},
+	OpChmod:         {},
+	OpLock:          {},
+	OpUnlock:        {},
+	OpPin:           {},
+	OpUnpin:         {},
+	OpCheckout:      {},
+	OpCheckin:       {StreamsIn: true},
+	OpRegisterURL:   {},
+	OpRegisterSQL:   {},
+	OpExecSQL:       {Idempotent: true},
+	OpInvoke:        {},
+	OpMkContainer:   {},
+	OpSyncContainer: {},
+	OpExtract:       {},
+	OpGetObject:     {Idempotent: true},
+	OpServerStats:   {Idempotent: true},
+	OpIngestReplica: {StreamsIn: true},
+	OpIssueTicket:   {},
+	OpAudit:         {Idempotent: true},
+	OpShadowList:    {Idempotent: true},
+	OpShadowOpen:    {Idempotent: true},
+	OpAddUser:       {},
+	OpResources:     {Idempotent: true},
+	OpOpStats:       {Idempotent: true},
+	OpTrace:         {Idempotent: true},
+	OpUsage:         {Idempotent: true},
+	OpRepairStatus:  {Idempotent: true},
+	// Scrub mutates replicas, but only toward the catalog checksum:
+	// re-running a scrub is always safe.
+	OpScrub:           {Idempotent: true},
+	OpChecksum:        {Idempotent: true},
+	OpGridStat:        {Idempotent: true},
+	OpAlerts:          {Idempotent: true},
+	OpIncidents:       {Idempotent: true},
+	OpIncidentGet:     {Idempotent: true},
+	OpIncidentCapture: {},
+	OpPeers:           {Idempotent: true},
+	OpBulkPut:         {StreamsIn: true},
+	OpMultiGet:        {Idempotent: true},
+	OpBulkStat:        {Idempotent: true},
+	OpShards:          {},
+	OpShardPull:       {},
+	OpHeat:            {Idempotent: true},
+}
+
+// Idempotent reports whether op is safe to retry.
+func Idempotent(op string) bool { return Specs[op].Idempotent }
+
+// StreamsIn reports whether op's request is followed by an inbound
+// bulk data stream.
+func StreamsIn(op string) bool { return Specs[op].StreamsIn }
 
 // PathArgs addresses one logical path.
 type PathArgs struct {

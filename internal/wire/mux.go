@@ -1,17 +1,14 @@
 // Request multiplexing: many in-flight requests sharing one
-// authenticated connection. The serial protocol pays a full round trip
-// per operation — fatal for the paper's headline workload of millions
-// of small files over high-latency links. A Mux assigns each request a
-// correlation ID, serializes frame writes under a mutex, and runs one
-// demux goroutine that matches responses (possibly out of order) back
-// to their callers, so concurrent operations overlap their round trips
-// instead of queueing behind each other.
-//
-// Servers advertise ID support in the AuthOK handshake frame (Mux
-// field). Against an older server the Mux falls back to serial
-// matching: responses carry no ID and are delivered to the oldest
-// pending call, which is correct because a serial server answers in
-// request order.
+// authenticated connection. A request/response protocol that waits out
+// a full round trip per operation is fatal for the paper's headline
+// workload of millions of small files over high-latency links. A Mux
+// assigns each request a correlation ID, serializes frame writes under
+// a mutex, and runs one demux goroutine that matches responses
+// (possibly out of order) back to their callers by ID, so concurrent
+// operations overlap their round trips instead of queueing behind each
+// other. Every server echoes the ID; a response or redirect without one
+// is a protocol error that fails the whole connection rather than
+// being guessed onto some caller.
 package wire
 
 import (
@@ -42,24 +39,18 @@ type muxOutcome struct {
 	err error
 }
 
-type muxPending struct {
-	ch chan muxOutcome
-}
-
 // Mux multiplexes requests over one authenticated connection. Safe for
 // concurrent use; create with NewMux after the handshake.
 type Mux struct {
 	nc     net.Conn
 	c      *Conn
 	server string
-	strict bool // server echoes correlation IDs
 
 	wmu sync.Mutex // serializes frame writes (request + its data stream)
 
 	mu      sync.Mutex
-	pending map[uint64]*muxPending
-	order   []uint64 // registration order, for serial (ID-less) servers
-	err     error    // first fatal error, set once
+	pending map[uint64]chan muxOutcome // waiter per in-flight ID
+	err     error                      // first fatal error, set once
 
 	nextID   atomic.Uint64
 	inflight atomic.Int64
@@ -70,18 +61,13 @@ type Mux struct {
 }
 
 // NewMux wraps an authenticated connection and starts the demux
-// goroutine. server is the peer's announced name; strict says the
-// server echoes correlation IDs (AuthOK.Mux) — when false the Mux uses
-// serial in-order matching and kills the connection on call timeout,
-// because an abandoned ID-less response could otherwise be matched to
-// the wrong caller.
-func NewMux(nc net.Conn, c *Conn, server string, strict bool) *Mux {
+// goroutine. server is the peer's announced name.
+func NewMux(nc net.Conn, c *Conn, server string) *Mux {
 	m := &Mux{
 		nc:      nc,
 		c:       c,
 		server:  server,
-		strict:  strict,
-		pending: make(map[uint64]*muxPending),
+		pending: make(map[uint64]chan muxOutcome),
 		done:    make(chan struct{}),
 	}
 	m.lastUsed.Store(time.Now().UnixNano())
@@ -116,72 +102,56 @@ func (m *Mux) fatal(err error) {
 		m.err = err
 	}
 	waiters := m.pending
-	m.pending = make(map[uint64]*muxPending)
-	m.order = nil
+	m.pending = make(map[uint64]chan muxOutcome)
 	first := m.err
 	m.mu.Unlock()
 	if m.dead.CompareAndSwap(false, true) {
 		close(m.done)
 		m.nc.Close()
 	}
-	for _, p := range waiters {
-		p.ch <- muxOutcome{err: first}
+	for _, ch := range waiters {
+		ch <- muxOutcome{err: first}
 	}
 }
 
 // register allocates an ID and parks a waiter for it.
-func (m *Mux) register() (uint64, *muxPending, error) {
+func (m *Mux) register() (uint64, chan muxOutcome, error) {
 	id := m.nextID.Add(1)
-	p := &muxPending{ch: make(chan muxOutcome, 1)}
+	ch := make(chan muxOutcome, 1)
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
 		m.mu.Unlock()
 		return 0, nil, err
 	}
-	m.pending[id] = p
-	m.order = append(m.order, id)
+	m.pending[id] = ch
 	m.mu.Unlock()
-	return id, p, nil
+	return id, ch, nil
 }
 
-// unregister abandons a waiter (strict-mode timeout); a late response
-// with its ID is discarded by deliver.
+// unregister abandons a waiter (call timeout); a late response with
+// its ID is discarded by deliver.
 func (m *Mux) unregister(id uint64) {
 	m.mu.Lock()
 	delete(m.pending, id)
-	m.dropOrder(id)
 	m.mu.Unlock()
 }
 
-func (m *Mux) dropOrder(id uint64) {
-	for i, v := range m.order {
-		if v == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// deliver hands a matched outcome to its waiter. id 0 means the server
-// spoke the serial protocol; the oldest pending call is the owner.
+// deliver hands a matched outcome to its waiter; an answer whose ID has
+// no waiter belongs to an abandoned call and is dropped. An answer
+// without an ID cannot be matched to anyone, so it fails the
+// connection.
 func (m *Mux) deliver(id uint64, out muxOutcome) {
-	m.mu.Lock()
 	if id == 0 {
-		if len(m.order) == 0 {
-			m.mu.Unlock()
-			return // response with no caller: abandoned serial call
-		}
-		id = m.order[0]
+		m.fatal(fmt.Errorf("wire: answer without correlation ID: %w", types.ErrInvalid))
+		return
 	}
-	p, ok := m.pending[id]
-	if ok {
-		delete(m.pending, id)
-		m.dropOrder(id)
-	}
+	m.mu.Lock()
+	ch, ok := m.pending[id]
+	delete(m.pending, id)
 	m.mu.Unlock()
 	if ok {
-		p.ch <- out
+		ch <- out
 	}
 }
 
@@ -238,16 +208,14 @@ func (m *Mux) Call(req *Request, data io.Reader, deadline time.Time) (*CallResul
 		m.lastUsed.Store(time.Now().UnixNano())
 	}()
 
-	// Register under the write lock so the pending FIFO order matches
-	// the order requests hit the wire — serial servers answer in wire
-	// order, and the ID-less fallback match depends on it.
-	m.wmu.Lock()
-	id, p, err := m.register()
+	// Register before writing, so even an instant answer finds its
+	// waiter.
+	id, ch, err := m.register()
 	if err != nil {
-		m.wmu.Unlock()
 		return nil, err
 	}
 	req.ID = id
+	m.wmu.Lock()
 	err = m.c.WriteJSON(MsgRequest, req)
 	if err == nil && data != nil {
 		err = m.c.SendData(data)
@@ -266,17 +234,11 @@ func (m *Mux) Call(req *Request, data io.Reader, deadline time.Time) (*CallResul
 		timeout = t.C
 	}
 	select {
-	case out := <-p.ch:
+	case out := <-ch:
 		return out.res, out.err
 	case <-timeout:
-		if m.strict {
-			// Abandon the call; the late response is discarded by ID.
-			m.unregister(id)
-		} else {
-			// A serial server's late response carries no ID and would be
-			// matched to the next caller — the conn is poisoned, kill it.
-			m.fatal(timeoutError(id))
-		}
+		// Abandon the call; the late response is discarded by ID.
+		m.unregister(id)
 		return nil, timeoutError(id)
 	}
 }

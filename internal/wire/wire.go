@@ -66,11 +66,11 @@ type Auth struct {
 // connections — the federation's single sign-on: the owning server
 // trusts a zone peer's assertion of who the end user is.
 type Request struct {
-	// ID correlates this request with its response when requests are
-	// pipelined over a shared connection. Zero means the legacy serial
-	// protocol: one request, one response, in order. Non-zero IDs are
-	// assigned by the client-side Mux and echoed back by the server so
-	// a demultiplexer can match out-of-order responses to callers.
+	// ID correlates this request with its response: requests are
+	// pipelined over a shared connection and answered out of order. The
+	// client-side Mux assigns non-zero IDs and the server echoes them; a
+	// request with ID zero is a protocol error that closes the
+	// connection.
 	ID       uint64 `json:",omitempty"`
 	Op       string
 	OnBehalf string
@@ -102,7 +102,7 @@ type Request struct {
 // Response answers a Request. Body is op-specific JSON. ErrKind names a
 // types sentinel so clients can reconstruct errors.Is-compatible errors.
 type Response struct {
-	// ID echoes the request's correlation ID (zero on the serial path).
+	// ID echoes the request's correlation ID.
 	ID      uint64 `json:",omitempty"`
 	OK      bool
 	ErrKind string
@@ -114,19 +114,15 @@ type Response struct {
 
 // Redirect tells the client which server holds the data.
 type Redirect struct {
-	// ID echoes the request's correlation ID (zero on the serial path).
+	// ID echoes the request's correlation ID.
 	ID     uint64 `json:",omitempty"`
 	Server string
 	Addr   string
 }
 
-// AuthOK is the body of the MsgAuthOK frame. Mux advertises that the
-// server echoes correlation IDs, letting the client pipeline requests;
-// servers predating the field leave it false and get the serial
-// protocol.
+// AuthOK is the body of the MsgAuthOK frame.
 type AuthOK struct {
 	Server string
-	Mux    bool `json:",omitempty"`
 }
 
 // errKinds maps sentinel errors to wire names and back.
@@ -146,28 +142,6 @@ var errKinds = []struct {
 	{"mandatorymeta", types.ErrMandatoryMeta},
 	{"timeout", types.ErrTimeout},
 	{"readonly", types.ErrReadOnly},
-}
-
-// Idempotent reports whether op is safe to retry: read-only operations
-// whose re-execution cannot change grid state. Mutating ops (ingest,
-// write, delete, move, locks, tickets, ...) must never be retried
-// blindly — a lost response does not prove the mutation was lost.
-// OpGet is listed even though ticket redemption decrements a use count;
-// a retry after a transport failure may burn an extra use, which is the
-// accepted cost of delegated reads staying available.
-func Idempotent(op string) bool {
-	switch op {
-	case OpList, OpStat, OpGet, OpGetObject, OpReadRange, OpGetMeta,
-		OpAnnotations, OpQuery, OpQueryAttrs, OpResources, OpServerStats,
-		OpOpStats, OpShadowList, OpShadowOpen, OpExecSQL, OpAudit,
-		OpTrace, OpUsage, OpRepairStatus, OpChecksum, OpScrub,
-		OpGridStat, OpAlerts, OpIncidents, OpIncidentGet, OpPeers,
-		OpMultiGet, OpBulkStat, OpHeat:
-		// OpScrub mutates replicas, but only toward the catalog
-		// checksum — re-running a scrub is always safe.
-		return true
-	}
-	return false
 }
 
 // KindOf names err's sentinel for the wire; "" if unclassified.
