@@ -10,11 +10,11 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X gosrb/internal/obs.Version=$(VERSION)"
 
-.PHONY: all check lint vet build test race e2ebench-check test-faults test-repair test-wire test-phases test-mcat test-heat bench bench-obs bench-obs-gate bench-repair bench-grid bench-grid-gate bench-flight bench-flight-gate bench-wire bench-wire-gate bench-phases bench-phases-gate bench-mcat bench-mcat-gate bench-heat bench-heat-gate clean
+.PHONY: all check lint vet build test race e2ebench-check test-faults test-repair test-wire test-stream test-phases test-mcat test-heat bench bench-obs bench-obs-gate bench-repair bench-grid bench-grid-gate bench-flight bench-flight-gate bench-wire bench-wire-gate bench-phases bench-phases-gate bench-mcat bench-mcat-gate bench-heat bench-heat-gate clean
 
 all: check
 
-check: lint build race e2ebench-check test-faults test-repair test-wire test-phases test-mcat test-heat bench-obs-gate bench-grid-gate bench-flight-gate bench-wire-gate bench-phases-gate bench-mcat-gate bench-heat-gate
+check: lint build race e2ebench-check test-faults test-repair test-wire test-stream test-phases test-mcat test-heat bench-obs-gate bench-grid-gate bench-flight-gate bench-wire-gate bench-phases-gate bench-mcat-gate bench-heat-gate
 
 # Static analysis: go vet always, then a pinned staticcheck. The pin
 # keeps every checkout on the same analyzer; when the binary is absent
@@ -78,6 +78,14 @@ test-wire:
 	$(GO) test -race -count=10 -run 'TestMux|TestPool' ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestBatcher' ./internal/client/
 	$(GO) test -race -count=1 -run 'TestBulk|TestMultiGet' ./internal/server/
+
+# Streaming data-path sweep: the DataStream framing fences and the
+# server's live-stream tests, repeated under -race — a live inbound
+# stream passes from the conn's reader loop to the handler goroutine and
+# back, and a missed hand-off only surfaces across many interleavings.
+test-stream:
+	$(GO) test -race -count=10 -run 'TestDataStream|TestSendData' ./internal/wire/
+	$(GO) test -race -count=10 -run 'TestStream|TestIngestCut' ./internal/server/
 
 # Exemplar-integrity sweep: the bucket→trace-ID retention race only
 # surfaces across many interleavings; 10x under -race proves tail

@@ -159,7 +159,7 @@ func BenchmarkE3Failover(b *testing.B) {
 		br.AddPhysicalResource("admin", r, types.ClassFileSystem, "memfs", memfs.New())
 	}
 	cat.MkColl("/d", "admin")
-	br.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: workload.NewGen(1).Bytes(16 << 10), Resource: "r1"})
+	br.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: bytes.NewReader(workload.NewGen(1).Bytes(16 << 10)), Resource: "r1"})
 	br.Replicate("admin", "/d/f", "r2")
 	b.Run("healthy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -197,7 +197,7 @@ func BenchmarkE4LoadBalance(b *testing.B) {
 					br.AddPhysicalResource("admin", fmt.Sprintf("r%d", i), types.ClassFileSystem, "memfs", memfs.New())
 				}
 				cat.MkColl("/d", "admin")
-				br.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: payload, Resource: "r0"})
+				br.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: bytes.NewReader(payload), Resource: "r0"})
 				for i := 1; i < k; i++ {
 					br.Replicate("admin", "/d/f", fmt.Sprintf("r%d", i))
 				}
@@ -229,7 +229,7 @@ func newFedRig(b *testing.B, mode server.FederationMode, payload []byte) *fedRig
 	b1.AddPhysicalResource("admin", "disk1", types.ClassFileSystem, "memfs", memfs.New())
 	b2.AddPhysicalResource("admin", "disk2", types.ClassFileSystem, "memfs", memfs.New())
 	cat.MkColl("/d", "admin")
-	if _, err := b2.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: payload, Resource: "disk2"}); err != nil {
+	if _, err := b2.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: bytes.NewReader(payload), Resource: "disk2"}); err != nil {
 		b.Fatal(err)
 	}
 	authn := auth.New()
@@ -338,7 +338,7 @@ func BenchmarkE7SyncIngest(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := br.Ingest("admin", core.IngestOpts{
-					Path: fmt.Sprintf("/d/f%09d", i), Data: payload, Resource: target,
+					Path: fmt.Sprintf("/d/f%09d", i), Data: bytes.NewReader(payload), Resource: target,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -419,8 +419,8 @@ func BenchmarkE10ArchiveCache(b *testing.B) {
 	cat.MkColl("/a", "admin")
 	gen := workload.NewGen(4)
 	// Two objects so a capacity-1 stage cache always misses.
-	br.Ingest("admin", core.IngestOpts{Path: "/a/o1", Data: gen.Bytes(8 << 10), Resource: "tape"})
-	br.Ingest("admin", core.IngestOpts{Path: "/a/o2", Data: gen.Bytes(8 << 10), Resource: "tape"})
+	br.Ingest("admin", core.IngestOpts{Path: "/a/o1", Data: bytes.NewReader(gen.Bytes(8 << 10)), Resource: "tape"})
+	br.Ingest("admin", core.IngestOpts{Path: "/a/o2", Data: bytes.NewReader(gen.Bytes(8 << 10)), Resource: "tape"})
 	b.Run("archive-cold", func(b *testing.B) {
 		clock.total = 0
 		for i := 0; i < b.N; i++ {
@@ -493,7 +493,7 @@ func BenchmarkConcurrentBrokerOps(b *testing.B) {
 	payload := workload.NewGen(5).Bytes(1 << 10)
 	for i := 0; i < 100; i++ {
 		br.Ingest("admin", core.IngestOpts{
-			Path: fmt.Sprintf("/d/f%03d", i), Data: payload, Resource: "r1",
+			Path: fmt.Sprintf("/d/f%03d", i), Data: bytes.NewReader(payload), Resource: "r1",
 			Meta: []types.AVU{{Name: "i", Value: fmt.Sprint(i % 10)}},
 		})
 	}
@@ -530,7 +530,7 @@ func obsBenchBroker(tb testing.TB, instrumented bool, objects int, payload []byt
 	cat.MkColl("/d", "admin")
 	for i := 0; i < objects; i++ {
 		if _, err := br.Ingest("admin", core.IngestOpts{
-			Path: fmt.Sprintf("/d/f%03d", i), Data: payload, Resource: "r1",
+			Path: fmt.Sprintf("/d/f%03d", i), Data: bytes.NewReader(payload), Resource: "r1",
 		}); err != nil {
 			tb.Fatal(err)
 		}
@@ -777,7 +777,7 @@ func BenchmarkRepairAsyncIngest(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				n++
 				if _, err := br.Ingest("admin", core.IngestOpts{
-					Path: fmt.Sprintf("/d/f%09d", n), Data: payload, Resource: "lr",
+					Path: fmt.Sprintf("/d/f%09d", n), Data: bytes.NewReader(payload), Resource: "lr",
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -808,7 +808,7 @@ func TestRepairBenchReport(t *testing.T) {
 				for i := 0; i < b.N; i++ {
 					n++
 					if _, err := br.Ingest("admin", core.IngestOpts{
-						Path: fmt.Sprintf("/d/f%09d", n), Data: payload, Resource: "lr",
+						Path: fmt.Sprintf("/d/f%09d", n), Data: bytes.NewReader(payload), Resource: "lr",
 					}); err != nil {
 						b.Fatal(err)
 					}

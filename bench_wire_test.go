@@ -9,6 +9,7 @@
 package gosrb_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -48,7 +49,7 @@ func wireBenchRig(tb testing.TB) (*client.Client, []string) {
 	paths := make([]string, wireBenchOps)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/d/f%03d", i)
-		if _, err := br.Ingest("admin", core.IngestOpts{Path: paths[i], Data: payload, Resource: "disk1"}); err != nil {
+		if _, err := br.Ingest("admin", core.IngestOpts{Path: paths[i], Data: bytes.NewReader(payload), Resource: "disk1"}); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestRepairQueueRestartRecovery(t *testing.T) {
 	}
 
 	payload := []byte("queued before the crash")
-	o, err := b1.Ingest("admin", core.IngestOpts{Path: "/home/f.txt", Data: payload, Resource: "lr"})
+	o, err := b1.Ingest("admin", core.IngestOpts{Path: "/home/f.txt", Data: bytes.NewReader(payload), Resource: "lr"})
 	if err != nil {
 		t.Fatal(err)
 	}

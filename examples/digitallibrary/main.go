@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"strings"
@@ -57,7 +58,7 @@ func main() {
 		header := gen.FITSHeader(s)
 		if _, err := broker.Ingest("curator", core.IngestOpts{
 			Path:      s.Path(),
-			Data:      header,
+			Data:      bytes.NewReader(header),
 			Container: "/2mass/container-0",
 			DataType:  "fits image",
 			Meta:      s.Meta,

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -38,7 +39,7 @@ func main() {
 		path := fmt.Sprintf("/archive/1999/record%02d", i)
 		_, err := broker.Ingest("archivist", core.IngestOpts{
 			Path:     path,
-			Data:     []byte(fmt.Sprintf("record %d, accessioned 1999", i)),
+			Data:     bytes.NewReader([]byte(fmt.Sprintf("record %d, accessioned 1999", i))),
 			Resource: "preserve",
 			Meta:     []types.AVU{{Name: "accession", Value: "1999"}},
 		})

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 	// Ingest a file with user metadata attached at ingestion time.
 	obj, err := broker.Ingest("alice", core.IngestOpts{
 		Path:     "/home/alice/notes.txt",
-		Data:     []byte("The SRB brokers storage so clients do not have to."),
+		Data:     bytes.NewReader([]byte("The SRB brokers storage so clients do not have to.")),
 		Resource: "disk1",
 		DataType: "ascii text",
 		Meta: []types.AVU{

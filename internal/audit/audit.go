@@ -18,12 +18,14 @@ const DefaultCapacity = 100_000
 // Log is a bounded, append-only audit trail. Safe for concurrent use.
 // When the capacity is exceeded the oldest records are dropped.
 type Log struct {
-	mu      sync.Mutex
-	records []types.AuditRecord
-	start   int // ring start
-	count   int
-	dropped int64
-	now     func() time.Time
+	mu sync.Mutex
+	// records grows on demand up to capacity, then serves as a ring
+	// whose oldest record is at start — an idle log costs no memory.
+	records  []types.AuditRecord
+	capacity int
+	start    int
+	dropped  int64
+	now      func() time.Time
 }
 
 // New returns a log holding up to capacity records (DefaultCapacity if
@@ -32,7 +34,7 @@ func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Log{records: make([]types.AuditRecord, capacity), now: time.Now}
+	return &Log{capacity: capacity, now: time.Now}
 }
 
 // SetClock overrides the time source (tests).
@@ -45,9 +47,13 @@ func (l *Log) Record(rec types.AuditRecord) {
 	if rec.Time.IsZero() {
 		rec.Time = l.now()
 	}
-	if l.count < len(l.records) {
-		l.records[(l.start+l.count)%len(l.records)] = rec
-		l.count++
+	if len(l.records) < l.capacity {
+		if len(l.records) == cap(l.records) {
+			grown := make([]types.AuditRecord, len(l.records), min(max(2*cap(l.records), 64), l.capacity))
+			copy(grown, l.records)
+			l.records = grown
+		}
+		l.records = append(l.records, rec)
 		return
 	}
 	l.records[l.start] = rec
@@ -70,7 +76,7 @@ func (l *Log) OpTraced(trace, user, op, target string, ok bool, detail string) {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.count
+	return len(l.records)
 }
 
 // Dropped reports how many records were displaced by the ring bound.
@@ -121,7 +127,7 @@ func (l *Log) Query(f Filter) []types.AuditRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []types.AuditRecord
-	for i := 0; i < l.count; i++ {
+	for i := range l.records {
 		r := l.records[(l.start+i)%len(l.records)]
 		if f.matches(r) {
 			out = append(out, r)

@@ -135,3 +135,37 @@ func TestWraparoundAccounting(t *testing.T) {
 		t.Errorf("dropped %d + len %d != total %d", l.Dropped(), l.Len(), total)
 	}
 }
+
+// TestRingGrowsOnDemand: the ring allocates as records arrive, not up
+// front, and Len, Dropped and Query order match a keep-everything
+// model before, at and past the wrap.
+func TestRingGrowsOnDemand(t *testing.T) {
+	if l := New(0); cap(l.records) != 0 {
+		t.Errorf("a new default log preallocates %d records", cap(l.records))
+	}
+	for _, capacity := range []int{1, 3, 64, 100, 1000} {
+		l := New(capacity)
+		var all []string
+		for i := 0; i < 3*capacity+1; i++ {
+			name := fmt.Sprintf("u%d", i)
+			l.Op(name, "get", "/c/f", true, "")
+			all = append(all, name)
+			kept := all
+			if len(kept) > capacity {
+				kept = kept[len(kept)-capacity:]
+			}
+			if l.Len() != len(kept) || l.Dropped() != int64(len(all)-len(kept)) {
+				t.Fatalf("cap %d after %d: Len %d Dropped %d", capacity, len(all), l.Len(), l.Dropped())
+			}
+			if cap(l.records) > capacity {
+				t.Fatalf("cap %d: ring grew to %d slots", capacity, cap(l.records))
+			}
+			recs := l.Query(Filter{})
+			for j, r := range recs {
+				if r.User != kept[j] {
+					t.Fatalf("cap %d after %d: record %d = %s, want %s", capacity, len(all), j, r.User, kept[j])
+				}
+			}
+		}
+	}
+}

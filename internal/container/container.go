@@ -53,7 +53,7 @@ func NewWriter(d storage.Driver, path string) (*Writer, error) {
 			return nil, err
 		}
 		if _, err := w.Write(fileMagic); err != nil {
-			w.Close()
+			storage.Discard(d, path, w)
 			return nil, err
 		}
 		if err := w.Close(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -39,7 +40,7 @@ func newBroker(t *testing.T) *Broker {
 func TestIngestAndGet(t *testing.T) {
 	b := newBroker(t)
 	o, err := b.Ingest("alice", IngestOpts{
-		Path: "/home/f.txt", Data: []byte("hello grid"), Resource: "disk1",
+		Path: "/home/f.txt", Data: bytes.NewReader([]byte("hello grid")), Resource: "disk1",
 		Meta: []types.AVU{{Name: "color", Value: "red"}},
 	})
 	if err != nil {
@@ -71,7 +72,7 @@ func TestIngestAndGet(t *testing.T) {
 
 func TestIngestIntoLogicalResourceReplicates(t *testing.T) {
 	b := newBroker(t)
-	o, err := b.Ingest("alice", IngestOpts{Path: "/home/m.dat", Data: []byte("mirrored"), Resource: "mirror"})
+	o, err := b.Ingest("alice", IngestOpts{Path: "/home/m.dat", Data: bytes.NewReader([]byte("mirrored")), Resource: "mirror"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestIngestGuards(t *testing.T) {
 
 func TestReingestKeepsMetadata(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("v1"), Resource: "mirror",
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("v1")), Resource: "mirror",
 		Meta: []types.AVU{{Name: "k", Value: "v"}}})
 	if err := b.Reingest("alice", "/home/f", []byte("version two")); err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestMkdirListDelete(t *testing.T) {
 	if err := b.Mkdir("alice", "/home/sub"); err != nil {
 		t.Fatal(err)
 	}
-	b.Ingest("alice", IngestOpts{Path: "/home/sub/f", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/sub/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	stats, err := b.List("alice", "/home/sub")
 	if err != nil || len(stats) != 1 {
 		t.Errorf("List = %+v, %v", stats, err)
@@ -175,7 +176,7 @@ func TestMkdirListDelete(t *testing.T) {
 
 func TestDeleteRemovesBytesAndMetadata(t *testing.T) {
 	b := newBroker(t)
-	o, _ := b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("bye"), Resource: "disk1",
+	o, _ := b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("bye")), Resource: "disk1",
 		Meta: []types.AVU{{Name: "k", Value: "v"}}})
 	d, _ := b.Driver("disk1")
 	if _, err := d.Stat(o.Replicas[0].PhysicalPath); err != nil {
@@ -200,7 +201,7 @@ func TestDeleteRemovesBytesAndMetadata(t *testing.T) {
 
 func TestDeleteReplicaOneAtATime(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("multi"), Resource: "mirror",
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("multi")), Resource: "mirror",
 		Meta: []types.AVU{{Name: "k", Value: "v"}}})
 	if err := b.DeleteReplica("alice", "/home/f", 0); err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestDeleteReplicaOneAtATime(t *testing.T) {
 
 func TestCopyDropsUserMetadata(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/src", Data: []byte("payload"), Resource: "disk1",
+	b.Ingest("alice", IngestOpts{Path: "/home/src", Data: bytes.NewReader([]byte("payload")), Resource: "disk1",
 		Meta: []types.AVU{{Name: "k", Value: "v"}}})
 	b.Annotate("alice", "/home/src", types.Annotation{Text: "note"})
 	if err := b.Copy("alice", "/home/src", "/home/dst", ""); err != nil {
@@ -250,8 +251,8 @@ func TestCopyCollectionRecursive(t *testing.T) {
 	b := newBroker(t)
 	b.Mkdir("alice", "/home/proj")
 	b.Mkdir("alice", "/home/proj/sub")
-	b.Ingest("alice", IngestOpts{Path: "/home/proj/a", Data: []byte("1"), Resource: "disk1"})
-	b.Ingest("alice", IngestOpts{Path: "/home/proj/sub/b", Data: []byte("2"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/proj/a", Data: bytes.NewReader([]byte("1")), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/proj/sub/b", Data: bytes.NewReader([]byte("2")), Resource: "disk1"})
 	if err := b.Copy("alice", "/home/proj", "/home/proj2", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestMoveKeepsMetadata(t *testing.T) {
 	b := newBroker(t)
 	b.Mkdir("alice", "/home/a")
 	b.Mkdir("alice", "/home/b")
-	b.Ingest("alice", IngestOpts{Path: "/home/a/f", Data: []byte("x"), Resource: "disk1",
+	b.Ingest("alice", IngestOpts{Path: "/home/a/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1",
 		Meta: []types.AVU{{Name: "k", Value: "v"}}})
 	if err := b.Move("alice", "/home/a/f", "/home/b/g"); err != nil {
 		t.Fatal(err)
@@ -291,7 +292,7 @@ func TestLinkSemantics(t *testing.T) {
 	b := newBroker(t)
 	b.Mkdir("alice", "/home/orig")
 	b.Mkdir("alice", "/home/links")
-	b.Ingest("alice", IngestOpts{Path: "/home/orig/f", Data: []byte("linked data"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/orig/f", Data: bytes.NewReader([]byte("linked data")), Resource: "disk1"})
 	b.Chmod("alice", "/home/orig/f", acl.Public, acl.Read)
 	if err := b.Link("alice", "/home/orig/f", "/home/links/lnk"); err != nil {
 		t.Fatal(err)
@@ -324,7 +325,7 @@ func TestLinkSemantics(t *testing.T) {
 
 func TestAuditTrail(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	b.Get("alice", "/home/f")
 	b.Get("bob", "/home/f") // denied
 	all := b.Cat.AuditLog().Query(audit.Filter{})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"gosrb/internal/acl"
@@ -91,6 +92,11 @@ func (b *Broker) ingestIntoContainer(user, path string, opts IngestOpts) (types.
 	if err := b.need(user, contPath, acl.Write, "ingest"); err != nil {
 		return types.DataObject{}, err
 	}
+	// A container append is one record: it is buffered whole.
+	data, err := io.ReadAll(opts.Data)
+	if err != nil {
+		return types.DataObject{}, types.E("ingest", path, err)
+	}
 
 	lock := b.contLock(contPath)
 	lock.Lock()
@@ -119,7 +125,7 @@ func (b *Broker) ingestIntoContainer(user, path string, opts IngestOpts) (types.
 		if werr != nil {
 			continue
 		}
-		off, aerr := w.Append(opts.Data)
+		off, aerr := w.Append(data)
 		if aerr != nil {
 			continue
 		}
@@ -137,7 +143,7 @@ func (b *Broker) ingestIntoContainer(user, path string, opts IngestOpts) (types.
 	}
 	// Update container replica states and size.
 	if err := b.Cat.UpdateObject(contPath, func(o *types.DataObject) error {
-		newSize := offset + int64(len(opts.Data))
+		newSize := offset + int64(len(data))
 		o.Size = newSize
 		for i := range o.Replicas {
 			r := &o.Replicas[i]
@@ -159,8 +165,8 @@ func (b *Broker) ingestIntoContainer(user, path string, opts IngestOpts) (types.
 	obj := &types.DataObject{
 		Name: types.Base(path), Collection: types.Parent(path), Owner: user,
 		Kind: types.KindFile, DataType: dataType,
-		Container: contPath, ContainerOffset: offset, ContainerSize: int64(len(opts.Data)),
-		Size: int64(len(opts.Data)), Checksum: replica.Checksum(opts.Data),
+		Container: contPath, ContainerOffset: offset, ContainerSize: int64(len(data)),
+		Size: int64(len(data)), Checksum: replica.Checksum(data),
 	}
 	if _, err := b.Cat.RegisterObject(obj); err != nil {
 		return types.DataObject{}, err

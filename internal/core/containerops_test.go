@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -23,7 +24,7 @@ func TestContainerLifecycle(t *testing.T) {
 		data := []byte(fmt.Sprintf("member-%d-data", i))
 		want = append(want, string(data))
 		_, err := b.Ingest("alice", IngestOpts{
-			Path: fmt.Sprintf("/home/small%02d", i), Data: data,
+			Path: fmt.Sprintf("/home/small%02d", i), Data: bytes.NewReader(data),
 			Resource:  "disk2", // ignored: container wins
 			Container: "/home/cont1",
 		})
@@ -74,7 +75,7 @@ func TestContainerOnLogicalResource(t *testing.T) {
 	if len(cont.Replicas) != 2 {
 		t.Fatalf("segment replicas = %+v", cont.Replicas)
 	}
-	b.Ingest("alice", IngestOpts{Path: "/home/m1", Data: []byte("aligned"), Container: "/home/cc"})
+	b.Ingest("alice", IngestOpts{Path: "/home/m1", Data: bytes.NewReader([]byte("aligned")), Container: "/home/cc"})
 	// Offsets are aligned: the member reads from either segment.
 	b.Cat.SetResourceOnline("disk1", false)
 	data, err := b.Get("alice", "/home/m1")
@@ -94,7 +95,7 @@ func TestContainerDirtyAndSync(t *testing.T) {
 	b.CreateContainer("alice", "/home/cc", "mirror")
 	// disk2 goes down; appends land only on disk1 and mark disk2 dirty.
 	b.Cat.SetResourceOnline("disk2", false)
-	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/m1", Data: []byte("while-down"), Container: "/home/cc"}); err != nil {
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/m1", Data: bytes.NewReader([]byte("while-down")), Container: "/home/cc"}); err != nil {
 		t.Fatal(err)
 	}
 	cont, _ := b.Cat.GetObject("/home/cc")
@@ -126,7 +127,7 @@ func TestContainerDirtyAndSync(t *testing.T) {
 func TestContainerMemberReingest(t *testing.T) {
 	b := newBroker(t)
 	b.CreateContainer("alice", "/home/cc", "disk1")
-	b.Ingest("alice", IngestOpts{Path: "/home/m", Data: []byte("old"), Container: "/home/cc"})
+	b.Ingest("alice", IngestOpts{Path: "/home/m", Data: bytes.NewReader([]byte("old")), Container: "/home/cc"})
 	if err := b.Reingest("alice", "/home/m", []byte("new contents")); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestContainerMemberReingest(t *testing.T) {
 func TestContainerMemberNotReplicable(t *testing.T) {
 	b := newBroker(t)
 	b.CreateContainer("alice", "/home/cc", "disk1")
-	b.Ingest("alice", IngestOpts{Path: "/home/m", Data: []byte("x"), Container: "/home/cc"})
+	b.Ingest("alice", IngestOpts{Path: "/home/m", Data: bytes.NewReader([]byte("x")), Container: "/home/cc"})
 	if _, err := b.Replicate("alice", "/home/m", "disk2"); !errors.Is(err, types.ErrUnsupported) {
 		t.Errorf("replicating container member: %v", err)
 	}
@@ -147,7 +148,7 @@ func TestContainerMemberNotReplicable(t *testing.T) {
 
 func TestIngestIntoNonContainer(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/plain", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/plain", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/m", Data: nil, Container: "/home/plain"}); !errors.Is(err, types.ErrInvalid) {
 		t.Errorf("non-container target: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestConcurrentContainerAppends(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				_, err = b.Ingest("alice", IngestOpts{
 					Path:      fmt.Sprintf("/home/c-%d-%d", w, i),
-					Data:      []byte(fmt.Sprintf("payload %d %d", w, i)),
+					Data:      bytes.NewReader([]byte(fmt.Sprintf("payload %d %d", w, i))),
 					Container: "/home/cc",
 				})
 				if err != nil {

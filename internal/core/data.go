@@ -1,7 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash"
+	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -88,8 +95,10 @@ func (b *Broker) RmColl(user, path string) error {
 type IngestOpts struct {
 	// Path is the logical destination.
 	Path string
-	// Data is the object contents.
-	Data []byte
+	// Data streams the object contents; nil ingests an empty object.
+	// Ingest reads it once, with io.Copy: a reader that implements
+	// io.WriterTo picks the size of each storage write.
+	Data io.Reader
 	// Resource names the target (physical or logical) resource. Ignored
 	// when Container is set: "a container specification on ingestion
 	// overrides a resource specification" (paper §5).
@@ -110,9 +119,12 @@ type IngestOpts struct {
 // collection and on the resource.
 func (b *Broker) Ingest(user string, opts IngestOpts) (types.DataObject, error) {
 	start := time.Now()
+	if opts.Data == nil {
+		opts.Data = bytes.NewReader(nil)
+	}
 	o, err := b.ingest(user, opts)
 	b.ops.ingest.Done(start, err)
-	b.ops.heat.Record(shard.KeyOf(opts.Path), int64(len(opts.Data)))
+	b.ops.heat.Record(shard.KeyOf(opts.Path), o.Size)
 	return o, err
 }
 
@@ -163,11 +175,10 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 	// RegisterObject resolves linked sub-collections, so the effective
 	// path may differ from the requested one.
 	path = obj.Path()
-	sum := replica.Checksum(opts.Data)
 	// Replication policy: the sync default lands the file on every
-	// member on the write path; an async:k policy stops the synchronous
-	// fan-out after k successful writes and defers the rest (plus any
-	// members that failed) to the repair queue as dirty placeholders.
+	// member on the write path; an async:k policy writes the first k
+	// members that open and defers the rest (plus any members that
+	// failed) to the repair queue as dirty placeholders.
 	syncTarget := len(members)
 	async := false
 	if res, rerr := b.Cat.GetResource(opts.Resource); rerr == nil {
@@ -176,42 +187,69 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 		}
 	}
 	writeStart := time.Now()
-	var reps []types.Replica
-	wrote := 0
+	reps := make([]types.Replica, len(members))
+	fw := &fanout{sum: sha256.New()}
 	for i, m := range members {
-		rep := types.Replica{
+		reps[i] = types.Replica{
 			Number:       types.ReplicaNumber(i),
 			Resource:     m.Name,
 			PhysicalPath: replica.PhysPathFor(obj, types.ReplicaNumber(i)),
 			Status:       types.ReplicaDirty,
 			CreatedAt:    b.now(),
 		}
-		if wrote < syncTarget {
-			d, derr := b.Driver(m.Name)
-			if derr == nil && m.Online {
-				if werr := storage.WriteAll(d, rep.PhysicalPath, opts.Data); werr == nil {
-					rep.Status = types.ReplicaClean
-					rep.Size = int64(len(opts.Data))
-					rep.Checksum = sum
-					wrote++
-				}
-			}
-			if rep.Status == types.ReplicaClean {
-				b.ops.fanoutOK.Inc()
-			} else {
-				b.ops.fanoutFail.Inc()
+		if len(fw.ws) == syncTarget {
+			continue
+		}
+		d, derr := b.Driver(m.Name)
+		if derr == nil && m.Online {
+			if w, werr := d.Create(reps[i].PhysicalPath); werr == nil {
+				fw.ws = append(fw.ws, fanWriter{rep: &reps[i], d: d, w: w})
+				continue
 			}
 		}
-		reps = append(reps, rep)
+		b.ops.fanoutFail.Inc()
+	}
+	// One pass over the data feeds every synchronous member.
+	var rerr error
+	if len(fw.ws) > 0 {
+		_, rerr = io.Copy(fw, opts.Data)
+		if errors.Is(rerr, errNoMember) {
+			rerr = nil
+		}
+	}
+	sum := hex.EncodeToString(fw.sum.Sum(nil))
+	wrote := 0
+	for _, m := range fw.ws {
+		switch {
+		case m.err != nil:
+			// Discarded when its write failed.
+		case rerr != nil:
+			storage.Discard(m.d, m.rep.PhysicalPath, m.w)
+		default:
+			if m.err = m.w.Close(); m.err == nil {
+				m.rep.Status, m.rep.Size, m.rep.Checksum = types.ReplicaClean, fw.n, sum
+				wrote++
+				b.ops.fanoutOK.Inc()
+				continue
+			}
+		}
+		b.ops.fanoutFail.Inc()
 	}
 	opts.Span.Phase(obs.PhaseStorageWrite, time.Since(writeStart))
+	if rerr != nil {
+		// The data stream broke off: no replica and no row may keep a
+		// prefix of it.
+		b.Cat.DeleteObject(path)
+		b.audit(user, "ingest", path, false, "data stream: "+rerr.Error())
+		return types.DataObject{}, types.E("ingest", path, rerr)
+	}
 	if wrote == 0 {
 		b.Cat.DeleteObject(path)
 		b.audit(user, "ingest", path, false, "no online member of "+opts.Resource)
 		return types.DataObject{}, types.E("ingest", path, types.ErrOffline)
 	}
 	err = b.Cat.UpdateObject(path, func(o *types.DataObject) error {
-		o.Size = int64(len(opts.Data))
+		o.Size = fw.n
 		o.Checksum = sum
 		o.Replicas = reps
 		return nil
@@ -244,8 +282,50 @@ func (b *Broker) ingest(user string, opts IngestOpts) (types.DataObject, error) 
 			return types.DataObject{}, err
 		}
 	}
-	b.audit(user, "ingest", path, true, fmt.Sprintf("%d bytes on %s (%d replicas)", len(opts.Data), opts.Resource, len(reps)))
+	b.audit(user, "ingest", path, true, fmt.Sprintf("%d bytes on %s (%d replicas)", fw.n, opts.Resource, len(reps)))
 	return b.Cat.GetObject(path)
+}
+
+// errNoMember stops an ingest copy once every member write has failed.
+var errNoMember = errors.New("no member left to write")
+
+// fanout is an ingest's one-pass writer: each write feeds the SHA-256
+// and the byte count, then every member still writing. A member whose
+// write fails is dropped, its handle discarded, and the others carry
+// on; the copy stops only when none is left.
+type fanout struct {
+	sum hash.Hash
+	n   int64
+	ws  []fanWriter
+}
+
+// fanWriter is one synchronous member of an ingest fan-out.
+type fanWriter struct {
+	rep *types.Replica
+	d   storage.Driver
+	w   storage.WriteFile
+	err error
+}
+
+func (f *fanout) Write(p []byte) (int, error) {
+	f.sum.Write(p)
+	f.n += int64(len(p))
+	live := 0
+	for i := range f.ws {
+		m := &f.ws[i]
+		if m.err != nil {
+			continue
+		}
+		if _, m.err = m.w.Write(p); m.err != nil {
+			storage.Discard(m.d, m.rep.PhysicalPath, m.w)
+			continue
+		}
+		live++
+	}
+	if live == 0 {
+		return 0, errNoMember
+	}
+	return len(p), nil
 }
 
 // Reingest replaces an object's contents, keeping all metadata linked
@@ -290,23 +370,30 @@ func (b *Broker) Get(user, path string) ([]byte, error) {
 // decisions and cache/container hits along the read are annotated onto
 // sp, and the audit record carries the trace ID (nil sp = plain Get).
 func (b *Broker) GetTraced(user, path string, sp *obs.Span) ([]byte, error) {
-	start := time.Now()
-	data, err := b.get(user, path, sp)
-	b.ops.get.Done(start, err)
-	b.ops.heat.Record(shard.KeyOf(path), int64(len(data)))
+	data, _, _, err := b.GetStream(user, path, math.MaxInt64, sp)
 	return data, err
 }
 
-func (b *Broker) get(user, path string, sp *obs.Span) ([]byte, error) {
-	lookup := time.Now()
+// GetStream is GetTraced for a caller that streams: a plain file object
+// of more than inline bytes comes back open, as its replica reader and
+// size, for the caller to read and close. Every other object is read
+// whole, exactly as GetTraced reads it, and comes back as data.
+func (b *Broker) GetStream(user, path string, inline int64, sp *obs.Span) (data []byte, f io.ReadCloser, size int64, err error) {
+	start := time.Now()
 	o, err := b.checkRead(user, path, "get")
-	sp.Phase(obs.PhaseMCATLookup, time.Since(lookup))
-	if err != nil {
-		return nil, err
+	sp.Phase(obs.PhaseMCATLookup, time.Since(start))
+	if err == nil {
+		if o.Kind == types.KindFile && o.Container == "" && o.Size > inline {
+			f, size, err = b.rm.OpenStreamEv(o.Path(), sp)
+		} else {
+			data, err = b.getObject(user, &o, sp)
+			size = int64(len(data))
+		}
+		b.auditTraced(sp, user, "get", path, err == nil, "")
 	}
-	data, err := b.getObject(user, &o, sp)
-	b.auditTraced(sp, user, "get", path, err == nil, "")
-	return data, err
+	b.ops.get.Done(start, err)
+	b.ops.heat.Record(shard.KeyOf(path), size)
+	return data, f, size, err
 }
 
 func (b *Broker) getObject(user string, o *types.DataObject, sp *obs.Span) ([]byte, error) {
@@ -557,7 +644,7 @@ func (b *Broker) Copy(user, src, dst, resource string) error {
 	if resource == "" {
 		return types.E("copy", src, types.ErrInvalid)
 	}
-	_, err = b.Ingest(user, IngestOpts{Path: dst, Data: data, Resource: resource, DataType: o.DataType})
+	_, err = b.Ingest(user, IngestOpts{Path: dst, Data: bytes.NewReader(data), Resource: resource, DataType: o.DataType})
 	b.audit(user, "copy", src, err == nil, "to "+dst)
 	return err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"strings"
@@ -15,7 +16,7 @@ import (
 func TestOpenReadKinds(t *testing.T) {
 	b := newBroker(t)
 	// Plain file: streaming handle with the right size.
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("streamable"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("streamable")), Resource: "disk1"})
 	r, size, err := b.OpenRead("alice", "/home/f")
 	if err != nil || size != 10 {
 		t.Fatalf("OpenRead file = %d, %v", size, err)
@@ -27,7 +28,7 @@ func TestOpenReadKinds(t *testing.T) {
 	}
 	// Container member: byte range through the reader.
 	b.CreateContainer("alice", "/home/cc", "disk1")
-	b.Ingest("alice", IngestOpts{Path: "/home/member", Data: []byte("in container"), Container: "/home/cc"})
+	b.Ingest("alice", IngestOpts{Path: "/home/member", Data: bytes.NewReader([]byte("in container")), Container: "/home/cc"})
 	r, size, err = b.OpenRead("alice", "/home/member")
 	if err != nil || size != 12 {
 		t.Fatalf("OpenRead member = %d, %v", size, err)
@@ -69,7 +70,7 @@ func TestOpenReadKinds(t *testing.T) {
 
 func TestGetBrokenLink(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/orig", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/orig", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	b.Link("alice", "/home/orig", "/home/lnk")
 	b.Delete("alice", "/home/orig")
 	if _, err := b.Get("alice", "/home/lnk"); !errors.Is(err, types.ErrNotFound) {
@@ -141,7 +142,7 @@ func TestRemount(t *testing.T) {
 		t.Errorf("remount unknown = %v", err)
 	}
 	// The remounted driver serves new ingests.
-	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"}); err != nil {
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"}); err != nil {
 		t.Fatal(err)
 	}
 	if u := fresh.Usage(); u.Files != 1 {
@@ -154,7 +155,7 @@ func TestIngestIntoLinkedCollection(t *testing.T) {
 	b.Mkdir("alice", "/home/real")
 	b.LinkColl("alice", "/home/real", "/home/alias")
 	// Objects ingested via the link land in the target collection.
-	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/alias/f", Data: []byte("x"), Resource: "disk1"}); err != nil {
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/alias/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Cat.GetObject("/home/real/f"); err != nil {
@@ -164,7 +165,7 @@ func TestIngestIntoLinkedCollection(t *testing.T) {
 
 func TestGetVersionMissingDriver(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/doc", Data: []byte("v1"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/doc", Data: bytes.NewReader([]byte("v1")), Resource: "disk1"})
 	must(t, b.Checkout("alice", "/home/doc"))
 	must(t, b.Checkin("alice", "/home/doc", []byte("v2"), ""))
 	if _, err := b.GetVersion("bob", "/home/doc", 1); !errors.Is(err, types.ErrPermission) {
@@ -216,7 +217,7 @@ func TestShadowGetRendersListing(t *testing.T) {
 
 func TestExclusiveLockBlocksLinkReads(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/orig", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/orig", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	b.Chmod("alice", "/home/orig", "bob", acl.Read)
 	b.Link("alice", "/home/orig", "/home/lnk")
 	must(t, b.Lock("alice", "/home/orig", types.LockExclusive, 0))
@@ -240,11 +241,11 @@ func TestSyncAllDirty(t *testing.T) {
 	b := newBroker(t)
 	// A mirrored file and a mirrored container both go dirty while
 	// disk2 is down.
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("v1"), Resource: "mirror"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("v1")), Resource: "mirror"})
 	b.CreateContainer("alice", "/home/cc", "mirror")
 	b.Cat.SetResourceOnline("disk2", false)
 	must(t, b.Reingest("alice", "/home/f", []byte("v2")))
-	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/m", Data: []byte("member"), Container: "/home/cc"}); err != nil {
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/m", Data: bytes.NewReader([]byte("member")), Container: "/home/cc"}); err != nil {
 		t.Fatal(err)
 	}
 	b.Cat.SetResourceOnline("disk2", true)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -21,7 +22,7 @@ func clockBroker(t *testing.T) (*Broker, *time.Time) {
 
 func TestSharedLockBlocksOtherWriters(t *testing.T) {
 	b, _ := clockBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("v1"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("v1")), Resource: "disk1"})
 	b.Chmod("alice", "/home/f", "bob", acl.Write)
 	if err := b.Lock("alice", "/home/f", types.LockShared, time.Hour); err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestSharedLockBlocksOtherWriters(t *testing.T) {
 
 func TestExclusiveLockBlocksReads(t *testing.T) {
 	b, _ := clockBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	b.Chmod("alice", "/home/f", "bob", acl.Write)
 	b.Lock("alice", "/home/f", types.LockExclusive, time.Hour)
 	if _, err := b.Get("bob", "/home/f"); !errors.Is(err, types.ErrLocked) {
@@ -58,7 +59,7 @@ func TestExclusiveLockBlocksReads(t *testing.T) {
 
 func TestLockExpiry(t *testing.T) {
 	b, now := clockBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	b.Chmod("alice", "/home/f", "bob", acl.Write)
 	b.Lock("alice", "/home/f", types.LockExclusive, time.Minute)
 	if _, err := b.Get("bob", "/home/f"); !errors.Is(err, types.ErrLocked) {
@@ -77,7 +78,7 @@ func TestLockExpiry(t *testing.T) {
 
 func TestUnlock(t *testing.T) {
 	b, _ := clockBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	b.Lock("alice", "/home/f", types.LockShared, time.Hour)
 	if err := b.Unlock("bob", "/home/f"); !errors.Is(err, types.ErrPermission) {
 		t.Errorf("foreign unlock: %v", err)
@@ -98,7 +99,7 @@ func TestUnlock(t *testing.T) {
 
 func TestCheckoutCheckinVersions(t *testing.T) {
 	b, _ := clockBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/doc", Data: []byte("draft 1"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/doc", Data: bytes.NewReader([]byte("draft 1")), Resource: "disk1"})
 	b.Chmod("alice", "/home/doc", "bob", acl.Write)
 	if err := b.Checkout("alice", "/home/doc"); err != nil {
 		t.Fatal(err)
@@ -155,7 +156,7 @@ func TestPinSurvivesPurge(t *testing.T) {
 	// Three objects on disk1, replicated to cache1.
 	for i := 0; i < 3; i++ {
 		p := fmt.Sprintf("/home/f%d", i)
-		b.Ingest("alice", IngestOpts{Path: p, Data: make([]byte, 1000), Resource: "disk1"})
+		b.Ingest("alice", IngestOpts{Path: p, Data: bytes.NewReader(make([]byte, 1000)), Resource: "disk1"})
 		if _, err := b.Replicate("alice", p, "cache1"); err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestPurgeNeverDropsOnlyCopy(t *testing.T) {
 	b, _ := clockBroker(t)
 	b.AddPhysicalResource("admin", "cache1", types.ClassCache, "memfs", newCacheStore(t))
 	// Object living only on the cache.
-	b.Ingest("alice", IngestOpts{Path: "/home/solo", Data: make([]byte, 100), Resource: "cache1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/solo", Data: bytes.NewReader(make([]byte, 100)), Resource: "cache1"})
 	evicted, err := b.PurgeCache("admin", "cache1", 0)
 	if err != nil || evicted != 0 {
 		t.Errorf("purge = %d, %v", evicted, err)
@@ -212,7 +213,7 @@ func TestPurgeNeverDropsOnlyCopy(t *testing.T) {
 
 func TestPinGuards(t *testing.T) {
 	b, _ := clockBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	// Pinning a resource the object has no replica on fails.
 	if err := b.Pin("alice", "/home/f", "disk2", time.Hour); !errors.Is(err, types.ErrNotFound) {
 		t.Errorf("pin wrong resource: %v", err)

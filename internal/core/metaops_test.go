@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 func TestAddMetaRequiresOwnership(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	b.Chmod("alice", "/home/f", "bob", acl.Write)
 	// Write is not enough: the paper demands ownership for user/type meta.
 	err := b.AddMeta("bob", "/home/f", types.MetaUser, types.AVU{Name: "k", Value: "v"})
@@ -31,7 +32,7 @@ func TestAddMetaRequiresOwnership(t *testing.T) {
 
 func TestAnnotateNeedsOnlyRead(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	b.Chmod("alice", "/home/f", "bob", acl.Read)
 	if err := b.Annotate("bob", "/home/f", types.Annotation{Text: "great data!", Kind: "rating"}); err != nil {
 		t.Fatalf("read-level annotate: %v", err)
@@ -49,7 +50,7 @@ func TestAnnotateNeedsOnlyRead(t *testing.T) {
 
 func TestSystemMetaView(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("12345"), Resource: "mirror"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("12345")), Resource: "mirror"})
 	avus, err := b.GetMeta("alice", "/home/f", types.MetaSystem)
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +71,12 @@ func TestSystemMetaView(t *testing.T) {
 
 func TestFileBasedMetadata(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: []byte("data"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f", Data: bytes.NewReader([]byte("data")), Resource: "disk1"})
 	triplets := metadata.FormatTriplets([]types.AVU{
 		{Name: "instrument", Value: "2MASS camera"},
 		{Name: "exposure", Value: "7.8", Units: "seconds"},
 	})
-	b.Ingest("alice", IngestOpts{Path: "/home/f.meta", Data: triplets, Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/f.meta", Data: bytes.NewReader(triplets), Resource: "disk1"})
 	if err := b.AttachFileMeta("alice", "/home/f", "/home/f.meta"); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestExtractMetaFITS(t *testing.T) {
 	spec := g.SkySurvey("/home", 1, 1)[0]
 	hdr := g.FITSHeader(spec)
 	b.Mkdir("alice", spec.Collection)
-	b.Ingest("alice", IngestOpts{Path: spec.Path(), Data: hdr, Resource: "disk1", DataType: "fits image"})
+	b.Ingest("alice", IngestOpts{Path: spec.Path(), Data: bytes.NewReader(hdr), Resource: "disk1", DataType: "fits image"})
 	n, err := b.ExtractMeta("alice", spec.Path(), "fits-cards", "")
 	if err != nil || n == 0 {
 		t.Fatalf("ExtractMeta = %d, %v", n, err)
@@ -124,8 +125,8 @@ func TestExtractMetaFITS(t *testing.T) {
 func TestExtractFromSecondObject(t *testing.T) {
 	b := newBroker(t)
 	// DICOM-style: the image and a companion header file.
-	b.Ingest("alice", IngestOpts{Path: "/home/scan.img", Data: []byte("binary image"), Resource: "disk1", DataType: "dicom image"})
-	b.Ingest("alice", IngestOpts{Path: "/home/scan.hdr", Data: []byte("(0010,0010) DOE^JANE\n(0008,0060) CT\n"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/scan.img", Data: bytes.NewReader([]byte("binary image")), Resource: "disk1", DataType: "dicom image"})
+	b.Ingest("alice", IngestOpts{Path: "/home/scan.hdr", Data: bytes.NewReader([]byte("(0010,0010) DOE^JANE\n(0008,0060) CT\n")), Resource: "disk1"})
 	n, err := b.ExtractMeta("alice", "/home/scan.img", "dicom-companion", "/home/scan.hdr")
 	if err != nil || n != 2 {
 		t.Fatalf("second-object extract = %d, %v", n, err)

@@ -40,7 +40,7 @@ func TestMixedDriverGrid(t *testing.T) {
 
 	payload := []byte("bytes that traverse every storage class")
 	// Ingest onto the logical resource: three replicas, one per class.
-	o, err := b.Ingest("admin", IngestOpts{Path: "/d/tri", Data: payload, Resource: "everywhere"})
+	o, err := b.Ingest("admin", IngestOpts{Path: "/d/tri", Data: bytes.NewReader(payload), Resource: "everywhere"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestMixedDriverGrid(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		if _, err := b.Ingest("admin", IngestOpts{
-			Path: fmt.Sprintf("/d/m%d", i), Data: []byte(fmt.Sprintf("member %d", i)),
+			Path: fmt.Sprintf("/d/m%d", i), Data: bytes.NewReader([]byte(fmt.Sprintf("member %d", i))),
 			Container: "/d/cc",
 		}); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ import (
 func TestBrokerOpMetrics(t *testing.T) {
 	b := newBroker(t)
 	payload := []byte("metered bytes")
-	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/m.dat", Data: payload, Resource: "disk1"}); err != nil {
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/m.dat", Data: bytes.NewReader(payload), Resource: "disk1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Get("alice", "/home/m.dat"); err != nil {
@@ -50,7 +51,7 @@ func TestBrokerOpMetrics(t *testing.T) {
 // the fan-out success counter; an offline member must count as failure.
 func TestReplicaFanoutMetrics(t *testing.T) {
 	b := newBroker(t)
-	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/f.dat", Data: []byte("one"), Resource: "mirror"}); err != nil {
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/f.dat", Data: bytes.NewReader([]byte("one")), Resource: "mirror"}); err != nil {
 		t.Fatal(err)
 	}
 	snap := b.Metrics().Snapshot()
@@ -84,7 +85,7 @@ func TestSetMetricsNilDisables(t *testing.T) {
 	if err := b.Remount("disk1", memfs.New()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/n.dat", Data: []byte("x"), Resource: "disk1"}); err != nil {
+	if _, err := b.Ingest("alice", IngestOpts{Path: "/home/n.dat", Data: bytes.NewReader([]byte("x")), Resource: "disk1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Get("alice", "/home/n.dat"); err != nil {
@@ -109,7 +110,7 @@ func TestMetricsConcurrentBrokerOps(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			path := fmt.Sprintf("/home/c%d.dat", w)
-			if _, err := b.Ingest("alice", IngestOpts{Path: path, Data: []byte("z"), Resource: "disk1"}); err != nil {
+			if _, err := b.Ingest("alice", IngestOpts{Path: path, Data: bytes.NewReader([]byte("z")), Resource: "disk1"}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -172,7 +173,7 @@ func TestSQLWithCustomStyleSheet(t *testing.T) {
 	db.Database().Exec("INSERT INTO t VALUES ('x', 'y')")
 	// The style sheet is itself a T-language file stored in SRB.
 	sheet := "head: BEGIN\nrow: [$1|$2]\ntail: END\n"
-	b.Ingest("alice", IngestOpts{Path: "/home/sheet.t", Data: []byte(sheet), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/sheet.t", Data: bytes.NewReader([]byte(sheet)), Resource: "disk1"})
 	b.RegisterSQL("alice", "/home/q", types.SQLSpec{
 		Resource: "dbrsrc", Query: "SELECT a, b FROM t", Template: "/home/sheet.t",
 	})
@@ -271,7 +272,7 @@ func TestRegisterReplicaAlternates(t *testing.T) {
 		t.Errorf("alternate read = %q, %v", data, err)
 	}
 	// Alternates only attach to registered kinds.
-	b.Ingest("alice", IngestOpts{Path: "/home/plain", Data: []byte("x"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/plain", Data: bytes.NewReader([]byte("x")), Resource: "disk1"})
 	if err := b.RegisterReplicaSpec("alice", "/home/plain", types.AltSpec{Kind: types.KindURL, URL: "mem://backup"}); !errors.Is(err, types.ErrUnsupported) {
 		t.Errorf("alt on plain file: %v", err)
 	}
@@ -279,7 +280,7 @@ func TestRegisterReplicaAlternates(t *testing.T) {
 
 func TestIngestReplicaSyntacticallyDifferent(t *testing.T) {
 	b := newBroker(t)
-	b.Ingest("alice", IngestOpts{Path: "/home/img", Data: []byte("TIFF bytes"), Resource: "disk1"})
+	b.Ingest("alice", IngestOpts{Path: "/home/img", Data: bytes.NewReader([]byte("TIFF bytes")), Resource: "disk1"})
 	rep, err := b.IngestReplica("alice", "/home/img", "disk2", []byte("GIF bytes"))
 	if err != nil {
 		t.Fatal(err)

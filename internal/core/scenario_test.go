@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -63,7 +64,7 @@ func TestAvianCultureScenario(t *testing.T) {
 	// files, images, and movies stored on diverse media-formats":
 	// 1. A file ingested under the collection's control.
 	_, err := b.Ingest("co-curator", IngestOpts{
-		Path: avian + "/finch-song.txt", Data: []byte("recording notes"),
+		Path: avian + "/finch-song.txt", Data: bytes.NewReader([]byte("recording notes")),
 		Resource: "disk",
 		Meta: []types.AVU{
 			{Name: "culture-core", Value: "avian"},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -174,7 +175,7 @@ func E7SyncIngest(scale int) Table {
 		cat.MkColl("/d", "admin")
 		for i := 0; i < nFiles; i++ {
 			if _, err := b.Ingest("admin", core.IngestOpts{
-				Path: fmt.Sprintf("/d/f%04d", i), Data: payload, Resource: target,
+				Path: fmt.Sprintf("/d/f%04d", i), Data: bytes.NewReader(payload), Resource: target,
 			}); err != nil {
 				panic(err)
 			}
@@ -220,7 +221,7 @@ func E10ArchiveCache(scale int) Table {
 	paths := make([]string, nObjs)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/a/o%04d", i)
-		if _, err := b.Ingest("admin", core.IngestOpts{Path: paths[i], Data: gen.Bytes(8 << 10), Resource: "tape"}); err != nil {
+		if _, err := b.Ingest("admin", core.IngestOpts{Path: paths[i], Data: bytes.NewReader(gen.Bytes(8 << 10)), Resource: "tape"}); err != nil {
 			panic(err)
 		}
 	}

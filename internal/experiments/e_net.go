@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gosrb/internal/auth"
@@ -37,14 +39,14 @@ func E3Failover(scale int) Table {
 		}
 	}
 	cat.MkColl("/d", "admin")
-	if _, err := b.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: gen.Bytes(16 << 10), Resource: "r1"}); err != nil {
+	if _, err := b.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: bytes.NewReader(gen.Bytes(16 << 10)), Resource: "r1"}); err != nil {
 		panic(err)
 	}
 	if _, err := b.Replicate("admin", "/d/f", "r2"); err != nil {
 		panic(err)
 	}
 	// Unreplicated baseline object, ingested while r1 is healthy.
-	if _, err := b.Ingest("admin", core.IngestOpts{Path: "/d/solo", Data: gen.Bytes(16 << 10), Resource: "r1"}); err != nil {
+	if _, err := b.Ingest("admin", core.IngestOpts{Path: "/d/solo", Data: bytes.NewReader(gen.Bytes(16 << 10)), Resource: "r1"}); err != nil {
 		panic(err)
 	}
 
@@ -139,7 +141,7 @@ func E4LoadBalance(scale int) Table {
 				}
 			}
 			cat.MkColl("/d", "admin")
-			if _, err := b.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: payload, Resource: "r0"}); err != nil {
+			if _, err := b.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: bytes.NewReader(payload), Resource: "r0"}); err != nil {
 				panic(err)
 			}
 			for i := 1; i < k; i++ {
@@ -199,7 +201,7 @@ func newFedRig(mode server.FederationMode, payload []byte) *fedRig {
 		panic(err)
 	}
 	cat.MkColl("/d", "admin")
-	if _, err := b2.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: payload, Resource: "disk2"}); err != nil {
+	if _, err := b2.Ingest("admin", core.IngestOpts{Path: "/d/f", Data: bytes.NewReader(payload), Resource: "disk2"}); err != nil {
 		panic(err)
 	}
 	authn := auth.New()
@@ -266,28 +268,51 @@ func E5Federation(scale int) Table {
 	return t
 }
 
-// pacedDialer shapes each connection's reads to a per-stream bandwidth,
-// so parallel streams aggregate — the regime SRB's parallel transfers
-// target.
-func pacedDialer(bw int64) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) {
-		nc, err := net.DialTimeout("tcp", addr, 10*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		return &pacedReadConn{Conn: nc, bw: bw}, nil
+// pacedLinks shapes each dialed connection's reads to a per-stream
+// bandwidth on simulated time: every connection keeps its own clock,
+// charged bytes ÷ bandwidth for what it reads, and nothing sleeps.
+// Parallel streams are concurrent connections, so a transfer's elapsed
+// time is its slowest connection's clock — the regime SRB's parallel
+// transfers target, measured the same on any machine.
+type pacedLinks struct {
+	bw    int64
+	mu    sync.Mutex
+	conns []*pacedReadConn
+}
+
+func (l *pacedLinks) dial(addr string) (net.Conn, error) {
+	nc, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	if err != nil {
+		return nil, err
 	}
+	c := &pacedReadConn{Conn: nc, bw: l.bw}
+	l.mu.Lock()
+	l.conns = append(l.conns, c)
+	l.mu.Unlock()
+	return c, nil
+}
+
+// elapsed is the slowest connection's simulated time.
+func (l *pacedLinks) elapsed() time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var d time.Duration
+	for _, c := range l.conns {
+		d = max(d, time.Duration(c.simNs.Load()))
+	}
+	return d
 }
 
 type pacedReadConn struct {
 	net.Conn
-	bw int64
+	bw    int64
+	simNs atomic.Int64
 }
 
 func (c *pacedReadConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if n > 0 && c.bw > 0 {
-		time.Sleep(time.Duration(int64(n) * int64(time.Second) / c.bw))
+	if n > 0 {
+		c.simNs.Add(int64(n) * int64(time.Second) / c.bw)
 	}
 	return n, err
 }
@@ -303,7 +328,7 @@ func E6ParallelTransfer(scale int) Table {
 	}
 	size := 4 << 20 * scale
 	perStreamBW := int64(64 << 20) // 64 MB/s per connection
-	t.Notes = fmt.Sprintf("%d MiB object; %d MB/s per stream", size>>20, perStreamBW>>20)
+	t.Notes = fmt.Sprintf("%d MiB object; %d MB/s per stream; simulated time", size>>20, perStreamBW>>20)
 
 	payload := workload.NewGen(19).Bytes(size)
 	rig := newFedRig(server.Proxy, payload)
@@ -311,16 +336,16 @@ func E6ParallelTransfer(scale int) Table {
 
 	var base time.Duration
 	for _, streams := range []int{1, 2, 4, 8} {
-		cl, err := client.DialWith(rig.addr2, "admin", "pw", pacedDialer(perStreamBW))
+		links := &pacedLinks{bw: perStreamBW}
+		cl, err := client.DialWith(rig.addr2, "admin", "pw", links.dial)
 		if err != nil {
 			panic(err)
 		}
-		start := time.Now()
 		data, err := cl.ParallelGet("/d/f", streams)
 		if err != nil {
 			panic(err)
 		}
-		elapsed := time.Since(start)
+		elapsed := links.elapsed()
 		cl.Close()
 		if len(data) != size {
 			panic("short transfer")

@@ -416,6 +416,8 @@ func (w *faultWriter) Close() error {
 	return w.inner.Close()
 }
 
+func (w *faultWriter) Abort() error { return storage.AbortWrite(w.inner) }
+
 type faultReader struct {
 	inner storage.ReadFile
 	t     *Target

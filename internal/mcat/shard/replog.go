@@ -10,12 +10,14 @@ const DefaultRepLogCap = 4096
 // RepLog is the replication log of one shard: a bounded ring of
 // journal lines, sequence-numbered from 1. The journal's observer hook
 // feeds it, so the same append-only stream that makes the catalog
-// durable also replicates it.
+// durable also replicates it. Line seq lives in ring[seq % max], so an
+// append to a full log overwrites the oldest slot in place.
 type RepLog struct {
-	mu      sync.Mutex
-	entries [][]byte
-	start   uint64 // sequence of entries[0]; 1 when nothing trimmed
-	max     int
+	mu    sync.Mutex
+	ring  [][]byte // max slots, allocated at the first Append
+	start uint64   // sequence of the oldest retained line; 1 when nothing trimmed
+	n     int      // lines retained
+	max   int
 }
 
 // NewRepLog returns a log retaining at most max lines.
@@ -36,21 +38,27 @@ func NewRepLog(max int) *RepLog {
 // state. Must be called before the first Append.
 func (l *RepLog) SetBase(base uint64) {
 	l.mu.Lock()
-	if len(l.entries) == 0 && base+1 > l.start {
+	if l.n == 0 && base+1 > l.start {
 		l.start = base + 1
 	}
 	l.mu.Unlock()
 }
 
+// slot returns the ring index of sequence seq.
+func (l *RepLog) slot(seq uint64) int { return int(seq % uint64(l.max)) }
+
 // Append records one journal line (copied).
 func (l *RepLog) Append(line []byte) {
 	cp := append([]byte(nil), line...)
 	l.mu.Lock()
-	l.entries = append(l.entries, cp)
-	if len(l.entries) > l.max {
-		drop := len(l.entries) - l.max
-		l.entries = append([][]byte(nil), l.entries[drop:]...)
-		l.start += uint64(drop)
+	if l.ring == nil {
+		l.ring = make([][]byte, l.max)
+	}
+	l.ring[l.slot(l.start+uint64(l.n))] = cp
+	if l.n < l.max {
+		l.n++
+	} else {
+		l.start++
 	}
 	l.mu.Unlock()
 }
@@ -60,7 +68,7 @@ func (l *RepLog) Append(line []byte) {
 func (l *RepLog) Head() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.start + uint64(len(l.entries)) - 1
+	return l.start + uint64(l.n) - 1
 }
 
 // Since returns the lines after sequence `after`, and whether the log
@@ -72,12 +80,13 @@ func (l *RepLog) Since(after uint64) ([][]byte, bool) {
 	if after+1 < l.start {
 		return nil, false
 	}
-	head := l.start + uint64(len(l.entries)) - 1
+	head := l.start + uint64(l.n) - 1
 	if after >= head {
 		return nil, true
 	}
-	from := int(after + 1 - l.start)
-	out := make([][]byte, head-after)
-	copy(out, l.entries[from:])
+	out := make([][]byte, 0, head-after)
+	for seq := after + 1; seq <= head; seq++ {
+		out = append(out, l.ring[l.slot(seq)])
+	}
 	return out, true
 }

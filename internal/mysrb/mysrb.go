@@ -12,6 +12,7 @@
 package mysrb
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -332,7 +333,7 @@ func (a *App) handleIngest(w http.ResponseWriter, r *http.Request, user string) 
 	meta := collectMeta(r)
 	_, err = a.broker.Ingest(user, core.IngestOpts{
 		Path:      types.Join(coll, name),
-		Data:      data,
+		Data:      bytes.NewReader(data),
 		Resource:  r.FormValue("resource"),
 		Container: r.FormValue("container"),
 		DataType:  r.FormValue("datatype"),

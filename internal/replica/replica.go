@@ -273,6 +273,46 @@ func (m *Manager) ReadAllEv(path, preferResource string, sp *obs.Span) ([]byte, 
 	return data, r, nil
 }
 
+// OpenStreamEv opens the object for a whole-object read the caller
+// streams: ReadAllEv without the read. The storage.read phase covers
+// the open; the observatory row and the hot-object record are written
+// at Close, charging the bytes served and the time since the open.
+func (m *Manager) OpenStreamEv(path string, sp *obs.Span) (io.ReadCloser, int64, error) {
+	start := time.Now()
+	f, r, err := m.OpenReadEv(path, "", sp)
+	sp.Phase(obs.PhaseStorageRead, time.Since(start))
+	if err != nil {
+		return nil, 0, err
+	}
+	return &streamRead{f: f, m: m, path: path, resource: r.Resource, start: start}, r.Size, nil
+}
+
+// streamRead is an open replica being streamed out (see OpenStreamEv).
+type streamRead struct {
+	f        storage.ReadFile
+	m        *Manager
+	path     string
+	resource string
+	start    time.Time
+	n        int64
+	failed   bool
+}
+
+func (s *streamRead) Read(p []byte) (int, error) {
+	n, err := s.f.Read(p)
+	s.n += int64(n)
+	if err != nil && err != io.EOF {
+		s.failed = true
+	}
+	return n, err
+}
+
+func (s *streamRead) Close() error {
+	s.m.peers.Record("", s.resource, time.Since(s.start), s.n, s.failed)
+	s.m.heat.Record(s.path, s.n)
+	return s.f.Close()
+}
+
 // WriteAll overwrites the object's contents: the bytes land on every
 // clean online replica; replicas whose resource is unreachable are
 // marked dirty for later synchronisation.
@@ -390,8 +430,7 @@ func (m *Manager) Replicate(path, resource string) (types.Replica, error) {
 	h := sha256.New()
 	size, err := io.Copy(w, io.TeeReader(src, h))
 	if err != nil {
-		w.Close()
-		dst.Remove(physPath) // no orphaned partial file
+		storage.Discard(dst, physPath, w) // no orphaned partial file
 		m.fanoutFail.Inc()
 		return types.Replica{}, types.E("replicate", path, err)
 	}

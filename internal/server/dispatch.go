@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -28,10 +29,12 @@ type call struct {
 	// on peer hops), resolved before the handler runs; usage is
 	// accounted to it ("" = unresolved).
 	user string
-	// pre holds the request's inbound bulk-data stream, drained by the
-	// reader loop before dispatch (the stream sits between this request
-	// and the next one).
+	// pre holds the request's inbound bulk-data stream when it ended
+	// within the reader loop's one-chunk read-ahead; in holds a longer
+	// stream, live (see recvIn). The stream sits between this request
+	// and the next one.
 	pre []byte
+	in  *inStream
 	// deadline is the request's time budget (zero = unbounded), started
 	// at dispatch from wire.Request.TimeoutMillis; federation hops
 	// forward only what remains of it.
@@ -61,7 +64,9 @@ type handler func(c *call) error
 // op adapts a typed handler body: it decodes the request's args into A,
 // runs fn and sends fn's result as the reply — an error reply when fn
 // fails, `{}` when it returns a nil body. A dataReply streams its bytes
-// after the response and a *wire.Redirect is sent as a redirect.
+// after the response and a *wire.Redirect is sent as a redirect. A live
+// inbound stream is released when fn returns, so the reader loop drains
+// any rest while the reply goes out.
 func op[A any](fn func(c *call, a A) (any, error)) handler {
 	return func(c *call) error {
 		a, err := decode[A](c.req)
@@ -69,19 +74,28 @@ func op[A any](fn func(c *call, a A) (any, error)) handler {
 			return c.respond(nil, err)
 		}
 		c.bytesIn += int64(len(c.pre))
-		return c.respond(fn(c, a))
+		body, err := fn(c, a)
+		c.releaseIn()
+		return c.respond(body, err)
 	}
 }
 
-// dataReply is a reply whose bulk bytes follow the response frame.
+// dataReply is a reply whose bulk bytes follow the response frame:
+// data, or — for a streamed reply (see streamed) — the read-ahead
+// chunk head followed by src, size bytes in all. cl is closed once the
+// send ends.
 type dataReply struct {
 	body any
 	data []byte
+	head *[]byte
+	src  io.Reader
+	cl   io.Closer
+	size int64
 }
 
 // sized wraps a plain data read: the response announces the byte count.
 func sized(data []byte, err error) (any, error) {
-	return dataReply{wire.SizeReply{Size: int64(len(data))}, data}, err
+	return dataReply{body: wire.SizeReply{Size: int64(len(data))}, data: data}, err
 }
 
 // noArgs is the args type of ops that take none.
@@ -109,20 +123,28 @@ var handlers = map[string]handler{
 		// A remote target resource federates by proxy: the owning
 		// server performs the ingest.
 		if owner := c.resourceOwner(a.Resource); owner != "" && !c.isPeer {
-			res, err := c.proxy(owner, c.user, c.req, c.pre, c.deadline, c.span)
+			data, err := c.bodyBytes()
+			if err != nil {
+				return nil, err
+			}
+			res, err := c.proxy(owner, c.user, c.req, data, c.deadline, c.span)
 			if err != nil {
 				return nil, err
 			}
 			return res.Resp.Body, nil
 		}
 		return c.broker.Ingest(c.user, core.IngestOpts{
-			Path: a.Path, Data: c.pre, Resource: a.Resource,
+			Path: a.Path, Data: c.body(), Resource: a.Resource,
 			Container: a.Container, DataType: a.DataType, Meta: a.Meta,
 			Span: c.span,
 		})
 	}),
 	wire.OpReingest: op(func(c *call, a wire.PathArgs) (any, error) {
-		return nil, c.broker.Reingest(c.user, a.Path, c.pre)
+		data, err := c.bodyBytes()
+		if err != nil {
+			return nil, err
+		}
+		return nil, c.broker.Reingest(c.user, a.Path, data)
 	}),
 	wire.OpGet: op(func(c *call, a wire.PathArgs) (any, error) {
 		// A valid ticket lets the holder read with the issuer's
@@ -140,7 +162,11 @@ var handlers = map[string]handler{
 		if owner := c.localityOf(a.Path); owner != "" && !c.isPeer {
 			return c.federate(owner, user)
 		}
-		return sized(c.broker.GetTraced(user, a.Path, c.span))
+		data, f, size, err := c.broker.GetStream(user, a.Path, wire.DataChunk, c.span)
+		if f != nil {
+			return streamed("get", a.Path, f, f, size)
+		}
+		return sized(data, err)
 	}),
 	wire.OpIssueTicket: op(func(c *call, a wire.TicketArgs) (any, error) {
 		// Only a user holding Own may delegate access to a path.
@@ -164,13 +190,17 @@ var handlers = map[string]handler{
 		if owner := c.localityOf(a.Path); owner != "" && !c.isPeer {
 			return c.federate(owner, c.user)
 		}
-		return sized(c.readRange(c.user, a))
+		return c.readRange(c.user, a)
 	}),
 	wire.OpReplicate: op(func(c *call, a wire.ReplicateArgs) (any, error) {
 		return c.replicate(a)
 	}),
 	wire.OpIngestReplica: op(func(c *call, a wire.ReplicateArgs) (any, error) {
-		return c.broker.IngestReplica(c.user, a.Path, a.Resource, c.pre)
+		data, err := c.bodyBytes()
+		if err != nil {
+			return nil, err
+		}
+		return c.broker.IngestReplica(c.user, a.Path, a.Resource, data)
 	}),
 	wire.OpDelete: op(func(c *call, a wire.PathArgs) (any, error) {
 		return nil, c.broker.Delete(c.user, a.Path)
@@ -242,7 +272,11 @@ var handlers = map[string]handler{
 		return nil, c.broker.Checkout(c.user, a.Path)
 	}),
 	wire.OpCheckin: op(func(c *call, a wire.CheckinArgs) (any, error) {
-		return nil, c.broker.Checkin(c.user, a.Path, c.pre, a.Comment)
+		data, err := c.bodyBytes()
+		if err != nil {
+			return nil, err
+		}
+		return nil, c.broker.Checkin(c.user, a.Path, data, a.Comment)
 	}),
 	wire.OpRegisterURL: op(func(c *call, a wire.RegisterURLArgs) (any, error) {
 		return c.broker.RegisterURL(c.user, a.Path, a.URL)
@@ -545,13 +579,19 @@ func (c *call) respond(body any, err error) error {
 			return wc.WriteJSON(wire.MsgRedirect, rd)
 		})
 	}
-	var data []byte
+	var dr dataReply
 	follows := false
 	switch r := body.(type) {
 	case nil:
 		body = struct{}{}
 	case dataReply:
-		body, data, follows = r.body, r.data, true
+		body, dr, follows = r.body, r, true
+	}
+	if dr.cl != nil {
+		defer func() {
+			wire.PutChunk(dr.head)
+			dr.cl.Close()
+		}()
 	}
 	var resp wire.Response
 	if err == nil {
@@ -561,15 +601,21 @@ func (c *call) respond(body any, err error) error {
 		resp = wire.ErrResponse(err)
 	}
 	resp.ID = c.req.ID
+	var data io.Reader
 	if resp.DataFollows {
-		c.bytesOut += int64(len(data))
+		data = bytes.NewReader(dr.data)
+		c.bytesOut += int64(len(dr.data))
+		if dr.src != nil {
+			data = io.MultiReader(bytes.NewReader(*dr.head), dr.src)
+			c.bytesOut += dr.size
+		}
 	}
 	c.commit(err)
 	return c.w.send(func(wc *wire.Conn) error {
-		if err := wc.WriteJSON(wire.MsgResponse, resp); err != nil || !resp.DataFollows {
+		if err := wc.WriteJSON(wire.MsgResponse, resp); err != nil || data == nil {
 			return err
 		}
-		return wc.SendData(bytes.NewReader(data))
+		return wc.SendData(data)
 	})
 }
 
@@ -617,8 +663,11 @@ func (s *Server) observeBatch(n int) {
 // writes no partial rows and cannot tear down its batch-mates. Items
 // whose target resource lives on a peer are proxied item by item.
 func (c *call) bulkPut(a wire.BulkPutArgs) (wire.BulkPutReply, error) {
-	stream := c.pre
 	rep := wire.BulkPutReply{Server: c.name}
+	stream, err := c.bodyBytes()
+	if err != nil {
+		return rep, err
+	}
 	var total int64
 	for _, it := range a.Items {
 		if it.Size < 0 {
@@ -648,7 +697,7 @@ func (c *call) bulkPut(a wire.BulkPutArgs) (wire.BulkPutReply, error) {
 			}
 		} else {
 			_, err = c.broker.Ingest(c.user, core.IngestOpts{
-				Path: it.Path, Data: data, Resource: it.Resource,
+				Path: it.Path, Data: bytes.NewReader(data), Resource: it.Resource,
 				Container: it.Container, DataType: it.DataType, Meta: it.Meta,
 			})
 		}
@@ -690,29 +739,25 @@ func (c *call) multiGet(a wire.MultiGetArgs) dataReply {
 		}
 		rep.Items = append(rep.Items, item)
 	}
-	return dataReply{rep, out}
+	return dataReply{body: rep, data: out}
 }
 
-// readRange serves the parallel-transfer primitive.
-func (s *Server) readRange(user string, a wire.RangeArgs) ([]byte, error) {
+// readRange serves the parallel-transfer primitive from the open
+// replica.
+func (s *Server) readRange(user string, a wire.RangeArgs) (any, error) {
 	f, size, err := s.broker.OpenRead(user, a.Path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	length := a.Length
 	if length < 0 || a.Offset+length > size {
 		length = size - a.Offset
 	}
 	if length <= 0 {
-		return nil, nil
+		f.Close()
+		return sized(nil, nil)
 	}
-	buf := make([]byte, length)
-	n, err := f.ReadAt(buf, a.Offset)
-	if err != nil && n == 0 {
-		return nil, types.E("readrange", a.Path, err)
-	}
-	return buf[:n], nil
+	return streamed("readrange", a.Path, io.NewSectionReader(f, a.Offset, length), f, length)
 }
 
 // replicate performs a replication that may cross server boundaries:

@@ -349,15 +349,13 @@ func (s *Server) handleConn(nc net.Conn) error {
 		}
 		cl := &call{Server: s, session: base, req: req}
 		if wire.StreamsIn(req.Op) {
-			// The op's bulk data sits between this request and the next;
-			// drain it here so the reader can move on while the handler
-			// works. (This also keeps framing healthy when the handler
-			// rejects the op before touching the data.)
-			var buf bytes.Buffer
-			if _, err := c.RecvData(&buf); err != nil {
+			// The op's bulk data sits between this request and the next.
+			// A stream that fits the read-ahead chunk is read here, so the
+			// reader moves on while the handler works; a longer one goes
+			// to the handler live (see recvIn).
+			if err := cl.recvIn(c); err != nil {
 				return err
 			}
-			cl.pre = buf.Bytes()
 		}
 		// Dispatch concurrently, bounded by maxPipelined. The depth
 		// histogram records how deep the pipeline actually runs (depth
@@ -371,12 +369,22 @@ func (s *Server) handleConn(nc net.Conn) error {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem; inflight.Add(-1); pipeGauge.Add(-1) }()
+			defer cl.releaseIn()
 			if err := cl.dispatch(); err != nil {
 				// Transport failure writing the response: the writer
 				// latched it and closed the conn, unblocking the reader.
 				s.Logger.Errorf("conn %s: pipelined %s: %v", cl.remote, req.Op, err)
 			}
 		}()
+		if cl.in != nil {
+			// The handler reads the live stream off this conn; wait until
+			// it lets go, then discard what it left unread, so framing
+			// stays healthy when the handler rejects the op before
+			// touching the data.
+			if err := cl.in.finish(); err != nil {
+				return err
+			}
+		}
 	}
 }
 

@@ -18,6 +18,14 @@ import (
 // malformed or privileged frames the client library never produces.
 func rawConn(t *testing.T, addr, user, password string) *wire.Conn {
 	t.Helper()
+	c, _ := rawDial(t, addr, user, password)
+	return c
+}
+
+// rawDial is rawConn that also hands back the transport, for tests that
+// cut the connection.
+func rawDial(t *testing.T, addr, user, password string) (*wire.Conn, net.Conn) {
+	t.Helper()
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +44,7 @@ func rawConn(t *testing.T, addr, user, password string) *wire.Conn {
 	if err := c.ReadJSON(wire.MsgAuthOK, &ok); err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, nc
 }
 
 // rawPeerConn authenticates as a zone peer.

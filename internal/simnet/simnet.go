@@ -133,6 +133,8 @@ func (w *wanWriter) Write(p []byte) (int, error) {
 
 func (w *wanWriter) Close() error { return w.inner.Close() }
 
+func (w *wanWriter) Abort() error { return storage.AbortWrite(w.inner) }
+
 type wanReader struct {
 	inner storage.ReadFile
 	d     *wanDriver

@@ -142,6 +142,13 @@ func (w *writer) Close() error {
 	return w.f.store(w.path, w.buf.String())
 }
 
+// Abort implements storage.Aborter: the accumulated bytes are dropped.
+func (w *writer) Abort() error {
+	w.closed = true
+	w.buf.Reset()
+	return nil
+}
+
 // Open implements storage.Driver.
 func (f *FS) Open(path string) (storage.ReadFile, error) {
 	p, err := clean(path)

@@ -108,6 +108,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 func (c *countingWriter) Close() error { return c.w.Close() }
 
+func (c *countingWriter) Abort() error { return AbortWrite(c.w) }
+
 // countingReader counts bytes served by the underlying ReadFile across
 // all three read styles.
 type countingReader struct {

@@ -104,6 +104,13 @@ func (w *writer) Close() error {
 	return nil
 }
 
+// Abort implements storage.Aborter: the accumulated bytes are dropped.
+func (w *writer) Abort() error {
+	w.closed = true
+	w.buf.Reset()
+	return nil
+}
+
 // markDirs records every ancestor directory of p; callers hold mu.
 func (f *FS) markDirs(p string) {
 	for _, a := range types.Ancestors(p) {

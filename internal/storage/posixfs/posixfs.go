@@ -116,6 +116,17 @@ func (w *atomicWriter) Close() error {
 	return nil
 }
 
+// Abort implements storage.Aborter: the temp file is removed and
+// nothing is published.
+func (w *atomicWriter) Abort() error {
+	if w.done {
+		return nil
+	}
+	w.done = true
+	w.f.Close()
+	return os.Remove(w.f.Name())
+}
+
 // OpenAppend implements storage.Driver.
 func (f *FS) OpenAppend(path string) (storage.WriteFile, error) {
 	host, err := f.resolve(path)

@@ -35,6 +35,36 @@ type WriteFile interface {
 	io.Closer
 }
 
+// Aborter is an optional WriteFile extension for handles that stage
+// their contents: Abort drops the staged bytes instead of publishing
+// them, leaving the path as it was.
+type Aborter interface {
+	Abort() error
+}
+
+// AbortWrite aborts w when it is an Aborter and fails with
+// types.ErrUnsupported otherwise. Wrapping handles implement Abort
+// with it.
+func AbortWrite(w WriteFile) error {
+	if a, ok := w.(Aborter); ok {
+		return a.Abort()
+	}
+	return types.ErrUnsupported
+}
+
+// Discard ends a failed write to path on d without publishing it: the
+// handle aborts when it can, and is otherwise closed and the path
+// removed, so no partial file stays at path. Only for handles from
+// Create — an append handle's earlier contents are not the caller's to
+// remove.
+func Discard(d Driver, path string, w WriteFile) {
+	if AbortWrite(w) == nil {
+		return
+	}
+	w.Close()
+	d.Remove(path)
+}
+
 // FileInfo describes one stored file or directory.
 type FileInfo struct {
 	Path    string // physical path within the resource
@@ -87,7 +117,7 @@ func WriteAll(d Driver, path string, contents []byte) error {
 		return err
 	}
 	if _, err := w.Write(contents); err != nil {
-		w.Close()
+		Discard(d, path, w)
 		return err
 	}
 	return w.Close()
@@ -133,7 +163,7 @@ func Copy(dst Driver, dstPath string, src Driver, srcPath string) (int64, error)
 	}
 	n, err := io.Copy(w, r)
 	if err != nil {
-		w.Close()
+		Discard(dst, dstPath, w)
 		return n, err
 	}
 	return n, w.Close()

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"gosrb/internal/types"
 )
@@ -271,13 +272,27 @@ func (c *Conn) ReadJSON(want MsgType, v any) error {
 	return json.Unmarshal(payload, v)
 }
 
-// SendData streams r as Data frames followed by DataEnd.
+// chunks recycles the DataChunk-sized buffers of the data path, so a
+// bulk transfer allocates nothing per frame in either direction.
+var chunks = sync.Pool{New: func() any { b := make([]byte, DataChunk); return &b }}
+
+// GetChunk borrows a DataChunk-sized buffer from the data path's pool;
+// return it with PutChunk once nothing refers to it.
+func GetChunk() *[]byte { return chunks.Get().(*[]byte) }
+
+// PutChunk returns a buffer borrowed with GetChunk.
+func PutChunk(b *[]byte) { chunks.Put(b) }
+
+// SendData streams r as Data frames followed by DataEnd. It only calls
+// r.Read, one pooled DataChunk at a time, so each frame carries up to a
+// whole chunk.
 func (c *Conn) SendData(r io.Reader) error {
-	buf := make([]byte, DataChunk)
+	buf := GetChunk()
+	defer PutChunk(buf)
 	for {
-		n, err := r.Read(buf)
+		n, err := r.Read(*buf)
 		if n > 0 {
-			if werr := c.WriteMsg(MsgData, buf[:n]); werr != nil {
+			if werr := c.WriteMsg(MsgData, (*buf)[:n]); werr != nil {
 				return werr
 			}
 		}
@@ -293,25 +308,111 @@ func (c *Conn) SendData(r io.Reader) error {
 
 // RecvData collects a Data stream into w and returns the byte count.
 func (c *Conn) RecvData(w io.Writer) (int64, error) {
+	return c.DataStream().WriteTo(w)
+}
+
+// DataStream reads one inbound bulk stream — Data frames up to the
+// DataEnd — as an io.Reader: Read fills the caller's buffer straight
+// from the connection, returning io.EOF at DataEnd. Nothing is
+// allocated per frame, so a header declaring a large frame costs only
+// the bytes that really arrive. A frame of any other type inside the
+// stream fails with types.ErrInvalid. The first failure sticks: the
+// stream's framing is lost, so every later call returns it.
+type DataStream struct {
+	c    *Conn
+	hdr  [5]byte
+	left int64 // unread payload bytes of the current Data frame
+	end  bool  // DataEnd consumed
+	err  error
+}
+
+// DataStream starts reading the data stream that follows on c.
+func (c *Conn) DataStream() *DataStream { return &DataStream{c: c} }
+
+// More reports whether stream bytes remain before DataEnd, reading the
+// next frame header when the current frame is used up (no payload is
+// consumed).
+func (s *DataStream) More() (bool, error) {
+	for s.err == nil && s.left == 0 && !s.end {
+		s.err = s.nextFrame()
+	}
+	return s.err == nil && !s.end, s.err
+}
+
+// nextFrame reads the header of the stream's next frame.
+func (s *DataStream) nextFrame() error {
+	if _, err := io.ReadFull(s.c.rw, s.hdr[:]); err != nil {
+		return unexpected(err)
+	}
+	n := int64(binary.BigEndian.Uint32(s.hdr[1:]))
+	if n > MaxFrame {
+		return types.E("read", "", fmt.Errorf("data frame of %d bytes exceeds limit: %w", n, types.ErrInvalid))
+	}
+	switch MsgType(s.hdr[0]) {
+	case MsgData:
+		s.left = n
+	case MsgDataEnd:
+		s.end = true
+		if _, err := io.CopyN(io.Discard, s.c.rw, n); err != nil {
+			return unexpected(err)
+		}
+	default:
+		return fmt.Errorf("wire: unexpected frame %d in data stream: %w", s.hdr[0], types.ErrInvalid)
+	}
+	return nil
+}
+
+// Read reads up to len(p) bytes of the current frame's payload, waiting
+// for all of them.
+func (s *DataStream) Read(p []byte) (int, error) {
+	if more, err := s.More(); !more {
+		if err == nil {
+			err = io.EOF
+		}
+		return 0, err
+	}
+	if int64(len(p)) > s.left {
+		p = p[:s.left]
+	}
+	n, err := io.ReadFull(s.c.rw, p)
+	s.left -= int64(n)
+	if err != nil {
+		s.err = unexpected(err)
+	}
+	return n, s.err
+}
+
+// WriteTo copies the rest of the stream to w through one pooled chunk,
+// one frame payload per Write.
+func (s *DataStream) WriteTo(w io.Writer) (int64, error) {
+	buf := GetChunk()
+	defer PutChunk(buf)
 	var total int64
 	for {
-		t, payload, err := c.ReadMsg()
+		n, err := s.Read(*buf)
+		if n > 0 {
+			m, werr := w.Write((*buf)[:n])
+			total += int64(m)
+			if werr != nil {
+				return total, werr
+			}
+		}
+		if err == io.EOF {
+			return total, nil
+		}
 		if err != nil {
 			return total, err
 		}
-		switch t {
-		case MsgData:
-			n, err := w.Write(payload)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-		case MsgDataEnd:
-			return total, nil
-		default:
-			return total, fmt.Errorf("wire: unexpected frame %d in data stream: %w", t, types.ErrInvalid)
-		}
 	}
+}
+
+// unexpected maps a clean EOF inside a stream to io.ErrUnexpectedEOF:
+// only DataEnd ends a stream.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // OkResponse marshals a success response with the given body.

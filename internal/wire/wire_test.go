@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -163,5 +164,125 @@ func TestFrameProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDataStreamReadsIntoCallerBuffer: Read fills the caller's buffer
+// straight from the frames, never past a frame boundary, ends with
+// io.EOF at DataEnd, and More peeks the end without consuming payload.
+func TestDataStreamReadsIntoCallerBuffer(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewConn(&buf)
+	w.WriteMsg(MsgData, []byte("abc"))
+	w.WriteMsg(MsgData, nil) // empty frames are skipped
+	w.WriteMsg(MsgData, []byte("defgh"))
+	w.WriteMsg(MsgDataEnd, nil)
+	w.WriteMsg(MsgRequest, []byte("next"))
+
+	ds := NewConn(&buf).DataStream()
+	p := make([]byte, 4)
+	if n, err := ds.Read(p); n != 3 || err != nil || string(p[:n]) != "abc" {
+		t.Fatalf("first read = %d %q %v", n, p[:n], err)
+	}
+	if more, err := ds.More(); !more || err != nil {
+		t.Fatalf("More before the second frame = %v, %v", more, err)
+	}
+	if n, err := ds.Read(p); n != 4 || err != nil || string(p[:n]) != "defg" {
+		t.Fatalf("second read = %d %q %v", n, p[:n], err)
+	}
+	if n, err := ds.Read(p); n != 1 || err != nil || string(p[:n]) != "h" {
+		t.Fatalf("third read = %d %q %v", n, p[:n], err)
+	}
+	if more, err := ds.More(); more || err != nil {
+		t.Fatalf("More at DataEnd = %v, %v", more, err)
+	}
+	if n, err := ds.Read(p); n != 0 || err != io.EOF {
+		t.Fatalf("read at end = %d, %v", n, err)
+	}
+	// The stream stopped exactly at DataEnd: the next frame is intact.
+	if typ, payload, err := NewConn(&buf).ReadMsg(); err != nil || typ != MsgRequest || string(payload) != "next" {
+		t.Fatalf("frame after the stream = %d %q %v", typ, payload, err)
+	}
+}
+
+// TestDataStreamOversizeHeaderNoAlloc: a data-frame header declaring
+// more than MaxFrame fails with ErrInvalid, and neither it nor a
+// truncated frame declaring 16 MiB allocates anything near the
+// declared length — payload goes straight into the caller's buffer.
+func TestDataStreamOversizeHeaderNoAlloc(t *testing.T) {
+	p := make([]byte, 16)
+	for _, hdr := range [][]byte{
+		{byte(MsgData), 0xFF, 0xFF, 0xFF, 0xFF}, // 4 GiB: over MaxFrame
+		{byte(MsgData), 0x00, 0xff, 0xff, 0xff}, // 16 MiB - 1, then nothing
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := NewConn(bytes.NewBuffer(hdr)).DataStream().Read(p)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("header %x: read succeeded", hdr)
+		}
+		if hdr[1] == 0xFF && !errors.Is(err, types.ErrInvalid) {
+			t.Errorf("oversize data frame = %v, want ErrInvalid", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("header %x allocated %d bytes", hdr, grew)
+		}
+	}
+}
+
+// TestDataStreamRejectsForeignFrame: only Data and DataEnd frames may
+// sit inside a stream; anything else is a protocol error.
+func TestDataStreamRejectsForeignFrame(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewConn(&buf)
+	w.WriteMsg(MsgData, []byte("ok"))
+	w.WriteMsg(MsgResponse, []byte("{}"))
+	var sink bytes.Buffer
+	n, err := NewConn(&buf).RecvData(&sink)
+	if !errors.Is(err, types.ErrInvalid) {
+		t.Fatalf("response frame inside a stream = %v, want ErrInvalid", err)
+	}
+	if n != 2 || sink.String() != "ok" {
+		t.Errorf("delivered %d bytes %q before the bad frame", n, sink.String())
+	}
+}
+
+// TestDataStreamCutMidFrame: a stream that stops inside a frame, or
+// before its DataEnd, fails with io.ErrUnexpectedEOF rather than
+// looking like a complete, shorter stream.
+func TestDataStreamCutMidFrame(t *testing.T) {
+	var full bytes.Buffer
+	w := NewConn(&full)
+	w.WriteMsg(MsgData, []byte("0123456789"))
+	w.WriteMsg(MsgDataEnd, nil)
+	frames := full.Bytes()
+	for _, cut := range []int{3, 5 + 4, 5 + 10, 5 + 10 + 2} {
+		_, err := NewConn(bytes.NewBuffer(frames[:cut:cut])).RecvData(io.Discard)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut at %d = %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
+// TestSendDataPooledChunks: a multi-chunk send allocates no per-frame
+// payload buffers — the chunk comes from the pool.
+func TestSendDataPooledChunks(t *testing.T) {
+	payload := make([]byte, 8*DataChunk)
+	r := bytes.NewReader(payload)
+	c := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{nil, io.Discard})
+	c.SendData(r) // warm the pool
+	allocs := testing.AllocsPerRun(10, func() {
+		r.Reset(payload)
+		if err := c.SendData(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("an 8-chunk send made %v allocations", allocs)
 	}
 }
